@@ -6,12 +6,13 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"rangeagg/internal/obs"
-	"rangeagg/internal/parallel"
 	"rangeagg/internal/serve"
 )
 
@@ -24,6 +25,7 @@ import (
 //	GET  /topology      the validated topology descriptor
 //	GET  /query         one routed query: ?a=&b=[&syn=][&metric=][&maxerr=]
 //	POST /query/batch   {"synopsis","metric","ranges":[[a,b],...],"maxerr"}
+//	                    (bodies over serve.MaxBatchBytes: 413)
 //	POST /ingest        {"inserts":[{"value","count"}],"deletes":[...]}
 //	                    — mutations forwarded to each value's owner
 //	POST /load          {"counts":[...]} — a full-domain load split into
@@ -34,7 +36,8 @@ import (
 // Routed answers add the partial-answer contract to the node response:
 // "partial" plus a "windows" list reporting, for every owned window the
 // range touched, whether it was served exactly, approximately, or not
-// at all.
+// at all. The two query endpoints speak through the serving layer's wire
+// codec; a non-finite answer fails them with a 500.
 func NewHandler(r *Router, m *serve.Metrics) http.Handler {
 	mux := http.NewServeMux()
 	handle := func(pattern, method string, fn func(w http.ResponseWriter, req *http.Request) (int, error)) {
@@ -84,30 +87,23 @@ func NewHandler(r *Router, m *serve.Metrics) http.Handler {
 		if err != nil {
 			return http.StatusBadGateway, err
 		}
-		resp := map[string]any{
-			"value":    res.Answer.Value,
-			"path":     res.Answer.Path.String(),
-			"source":   res.Answer.Source,
-			"partial":  res.Partial,
-			"windows":  res.Windows,
-			"versions": res.Versions,
-		}
-		if !math.IsInf(res.Answer.Bound, 1) {
-			resp["err"] = res.Answer.Bound
-			resp["rigorous"] = res.Answer.Rigorous
-		}
-		routerWriteJSON(w, http.StatusOK, resp)
-		return 0, nil
+		st := batchStates.Get().(*batchState)
+		defer st.put()
+		st.enc.Reset()
+		appendRouteResult(&st.enc, &res)
+		return serve.WriteEncoded(w, &st.enc)
 	})
 
 	handle("/query/batch", http.MethodPost, func(w http.ResponseWriter, req *http.Request) (int, error) {
-		var body struct {
-			Synopsis string   `json:"synopsis"`
-			Metric   string   `json:"metric"`
-			Ranges   [][2]int `json:"ranges"`
-			MaxErr   *float64 `json:"maxerr"`
+		st := batchStates.Get().(*batchState)
+		defer st.put()
+		var status int
+		var err error
+		if st.body, status, err = serve.ReadBatchBody(st.body[:0], w, req); err != nil {
+			return status, err
 		}
-		if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
+		body := &st.req
+		if err := body.Decode(st.body); err != nil {
 			return http.StatusBadRequest, fmt.Errorf("decoding batch request: %w", err)
 		}
 		if body.MaxErr != nil && (*body.MaxErr < 0 || math.IsNaN(*body.MaxErr)) {
@@ -117,15 +113,9 @@ func NewHandler(r *Router, m *serve.Metrics) http.Handler {
 		if err != nil {
 			return http.StatusBadGateway, err
 		}
-		routerWriteJSON(w, http.StatusOK, map[string]any{
-			"values":   res.Values,
-			"errs":     res.Errs,
-			"served":   res.Served,
-			"partial":  res.Partial,
-			"windows":  res.Windows,
-			"versions": res.Versions,
-		})
-		return 0, nil
+		st.enc.Reset()
+		appendBatchResult(&st.enc, &res)
+		return serve.WriteEncoded(w, &st.enc)
 	})
 
 	handle("/ingest", http.MethodPost, func(w http.ResponseWriter, req *http.Request) (int, error) {
@@ -262,8 +252,8 @@ func (r *Router) forwardLoad(req *http.Request, counts []int64) ([]string, error
 	}, "/load")
 }
 
-// forwardToPrimaries POSTs each node's body to its primary on the
-// bounded pool; any failure fails the whole request (writes have no
+// forwardToPrimaries POSTs each node's body to its primary, one
+// goroutine per node; any failure fails the whole request (writes have no
 // partial-answer mode — the caller retries).
 func (r *Router) forwardToPrimaries(req *http.Request, body func(i int) (any, bool), path string) ([]string, error) {
 	type result struct {
@@ -271,39 +261,39 @@ func (r *Router) forwardToPrimaries(req *http.Request, body func(i int) (any, bo
 		err  error
 	}
 	results := make([]result, len(r.topo.Nodes))
-	tasks := make([]func(), 0, len(r.topo.Nodes))
+	var targets []int
+	var bodies []any
 	for i := range r.topo.Nodes {
-		b, ok := body(i)
-		if !ok {
-			continue
+		if b, ok := body(i); ok {
+			targets = append(targets, i)
+			bodies = append(bodies, b)
 		}
-		i, b := i, b
-		tasks = append(tasks, func() {
-			n := &r.topo.Nodes[i]
-			results[i].node = n.ID
-			data, err := json.Marshal(b)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			post, err := http.NewRequestWithContext(req.Context(), http.MethodPost, n.Addr+path, bytes.NewReader(data))
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			post.Header.Set("Content-Type", "application/json")
-			resp, err := r.client.Do(post)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				results[i].err = httpError(resp)
-			}
-		})
 	}
-	parallel.Do(tasks...)
+	fanOut(len(targets), func(k int) {
+		i := targets[k]
+		n := &r.topo.Nodes[i]
+		results[i].node = n.ID
+		data, err := json.Marshal(bodies[k])
+		if err != nil {
+			results[i].err = err
+			return
+		}
+		post, err := http.NewRequestWithContext(req.Context(), http.MethodPost, n.Addr+path, bytes.NewReader(data))
+		if err != nil {
+			results[i].err = err
+			return
+		}
+		post.Header.Set("Content-Type", "application/json")
+		resp, err := r.client.Do(post)
+		if err != nil {
+			results[i].err = err
+			return
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			results[i].err = httpError(resp)
+		}
+	})
 	var applied []string
 	for _, res := range results {
 		if res.node == "" {
@@ -315,6 +305,173 @@ func (r *Router) forwardToPrimaries(req *http.Request, body func(i int) (any, bo
 		applied = append(applied, res.node)
 	}
 	return applied, nil
+}
+
+// batchState is one routed query request's reusable buffers.
+type batchState struct {
+	body []byte
+	req  serve.BatchRequest
+	enc  serve.Encoder
+}
+
+var batchStates = sync.Pool{New: func() any { return new(batchState) }}
+
+// put recycles the state unless one large request grew its buffers.
+func (st *batchState) put() {
+	out, _ := st.enc.Bytes()
+	if cap(st.body) <= maxPooledBytes && cap(out) <= maxPooledBytes && cap(st.req.Ranges) <= maxPooledBytes/16 {
+		batchStates.Put(st)
+	}
+}
+
+// appendRouteResult encodes a routed /query answer with the keys, order
+// and omissions of the map encoding/json used to write.
+func appendRouteResult(e *serve.Encoder, res *RouteResult) {
+	bounded := !math.IsInf(res.Answer.Bound, 1)
+	e.Raw("{")
+	if bounded {
+		e.Raw(`"err":`)
+		e.Float(res.Answer.Bound)
+		e.Raw(",")
+	}
+	e.Raw(`"partial":`)
+	e.Bool(res.Partial)
+	e.Raw(`,"path":`)
+	e.String(res.Answer.Path.String())
+	if bounded {
+		e.Raw(`,"rigorous":`)
+		e.Bool(res.Answer.Rigorous)
+	}
+	e.Raw(`,"source":`)
+	e.String(res.Answer.Source)
+	e.Raw(`,"value":`)
+	e.Float(res.Answer.Value)
+	e.Raw(`,"versions":`)
+	appendVersions(e, res.Versions)
+	e.Raw(`,"windows":`)
+	appendWindows(e, res.Windows)
+	e.Raw("}")
+}
+
+// appendBatchResult encodes a routed /query/batch answer.
+func appendBatchResult(e *serve.Encoder, res *BatchResult) {
+	e.Raw(`{"errs":`)
+	if res.Errs == nil {
+		e.Raw("null")
+	} else {
+		e.Raw("[")
+		for i, b := range res.Errs {
+			if i > 0 {
+				e.Raw(",")
+			}
+			if b == nil {
+				e.Raw("null")
+			} else {
+				e.Float(*b)
+			}
+		}
+		e.Raw("]")
+	}
+	e.Raw(`,"partial":`)
+	e.Bool(res.Partial)
+	e.Raw(`,"served":`)
+	if res.Served == nil {
+		e.Raw("null")
+	} else {
+		e.Raw("[")
+		for i, ok := range res.Served {
+			if i > 0 {
+				e.Raw(",")
+			}
+			e.Bool(ok)
+		}
+		e.Raw("]")
+	}
+	e.Raw(`,"values":`)
+	if res.Values == nil {
+		e.Raw("null")
+	} else {
+		e.Raw("[")
+		for i, v := range res.Values {
+			if i > 0 {
+				e.Raw(",")
+			}
+			e.Float(v)
+		}
+		e.Raw("]")
+	}
+	e.Raw(`,"versions":`)
+	appendVersions(e, res.Versions)
+	e.Raw(`,"windows":`)
+	appendWindows(e, res.Windows)
+	e.Raw("}")
+}
+
+// appendVersions encodes node versions as encoding/json encodes a map:
+// keys in sorted order.
+func appendVersions(e *serve.Encoder, versions map[string]int64) {
+	if versions == nil {
+		e.Raw("null")
+		return
+	}
+	ids := make([]string, 0, len(versions))
+	for id := range versions {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	e.Raw("{")
+	for i, id := range ids {
+		if i > 0 {
+			e.Raw(",")
+		}
+		e.String(id)
+		e.Raw(":")
+		e.Int(versions[id])
+	}
+	e.Raw("}")
+}
+
+// appendWindows encodes the window reports in WindowReport's field order
+// with its omitempty rules.
+func appendWindows(e *serve.Encoder, windows []WindowReport) {
+	if windows == nil {
+		e.Raw("null")
+		return
+	}
+	e.Raw("[")
+	for i := range windows {
+		w := &windows[i]
+		if i > 0 {
+			e.Raw(",")
+		}
+		e.Raw(`{"range":[`)
+		e.Int(int64(w.Window.Lo))
+		e.Raw(",")
+		e.Int(int64(w.Window.Hi))
+		e.Raw(`],"node":`)
+		e.String(w.Node)
+		if w.Endpoint != "" {
+			e.Raw(`,"endpoint":`)
+			e.String(w.Endpoint)
+		}
+		e.Raw(`,"status":`)
+		e.String(w.Status)
+		if w.Replica {
+			e.Raw(`,"replica":true`)
+		}
+		e.Raw(`,"attempts":`)
+		e.Int(int64(w.Attempts))
+		if w.Path != "" {
+			e.Raw(`,"path":`)
+			e.String(w.Path)
+		}
+		if w.Err != "" {
+			e.Raw(`,"err":`)
+			e.String(w.Err)
+		}
+		e.Raw("}")
+	}
+	e.Raw("]")
 }
 
 func routerWriteJSON(w http.ResponseWriter, status int, v any) {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"rangeagg/internal/obs"
-	"rangeagg/internal/parallel"
 )
 
 // replicaLagGauge exports each replica's lag behind its primary in
@@ -64,7 +63,7 @@ func newHealthTracker(topo *Topology, client *http.Client) *healthTracker {
 	return &healthTracker{topo: topo, client: client, state: make(map[string]NodeHealth)}
 }
 
-// checkAll sweeps every endpoint concurrently on the bounded pool and
+// checkAll sweeps every endpoint concurrently, one goroutine each, and
 // refreshes the replica-lag gauges.
 func (h *healthTracker) checkAll() {
 	type target struct{ node, endpoint string }
@@ -76,12 +75,7 @@ func (h *healthTracker) checkAll() {
 		}
 	}
 	results := make([]NodeHealth, len(targets))
-	tasks := make([]func(), len(targets))
-	for i := range targets {
-		i := i
-		tasks[i] = func() { results[i] = h.probe(targets[i].endpoint) }
-	}
-	parallel.Do(tasks...)
+	fanOut(len(targets), func(i int) { results[i] = h.probe(targets[i].endpoint) })
 
 	h.mu.Lock()
 	for _, r := range results {

@@ -16,8 +16,8 @@ import (
 	"time"
 
 	"rangeagg/internal/obs"
-	"rangeagg/internal/parallel"
 	"rangeagg/internal/plan"
+	"rangeagg/internal/serve"
 )
 
 // Router metrics (process-wide): fan-out latency per routed query,
@@ -257,15 +257,10 @@ func (r *Router) Route(ctx context.Context, q Query) (RouteResult, error) {
 	reports := make([]WindowReport, len(parts))
 	versions := make([]int64, len(parts))
 	served := make([]bool, len(parts))
-	tasks := make([]func(), len(parts))
-	for i := range parts {
-		i := i
-		tasks[i] = func() {
-			answers[i], versions[i], reports[i], served[i] =
-				r.subQuery(ctx, q, parts[i], budgets[i])
-		}
-	}
-	parallel.Do(tasks...)
+	fanOut(len(parts), func(i int) {
+		answers[i], versions[i], reports[i], served[i] =
+			r.subQuery(ctx, q, parts[i], budgets[i])
+	})
 
 	var ok0 []plan.Answer
 	var firstErr string
@@ -366,28 +361,13 @@ func (r *Router) queryEndpoint(ctx context.Context, endpoint string, q Query, w 
 	if err != nil {
 		return plan.Answer{}, 0, err
 	}
-	resp, err := r.client.Do(req)
-	if err != nil {
+	var body serve.QueryReply
+	if err := r.fetch(req, "answer", endpoint, body.Decode); err != nil {
 		return plan.Answer{}, 0, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return plan.Answer{}, 0, httpError(resp)
-	}
-	var body struct {
-		Value    float64  `json:"value"`
-		Version  int64    `json:"version"`
-		Path     string   `json:"path"`
-		Source   string   `json:"source"`
-		Err      *float64 `json:"err"`
-		Rigorous bool     `json:"rigorous"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return plan.Answer{}, 0, fmt.Errorf("decoding answer from %s: %w", endpoint, err)
-	}
-	ans := plan.Answer{Value: body.Value, Bound: math.Inf(1), Source: body.Source}
-	if body.Err != nil {
-		ans.Bound, ans.Rigorous = *body.Err, body.Rigorous
+	ans := plan.Answer{Value: body.Value, Bound: body.Err, Source: body.Source}
+	if !math.IsInf(body.Err, 1) {
+		ans.Rigorous = body.Rigorous
 	}
 	if path, ok := plan.ParsePath(body.Path); ok {
 		ans.Path = path
@@ -395,6 +375,41 @@ func (r *Router) queryEndpoint(ctx context.Context, endpoint string, q Query, w 
 		ans.Path = plan.PathProbe
 	}
 	return ans, body.Version, nil
+}
+
+// maxPooledBytes bounds the buffers the router's pools keep.
+const maxPooledBytes = 64 << 10
+
+// replyBufs recycles node reply bodies between sub-requests.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// fetch performs one sub-request and decodes a 200 reply's whole body
+// (reading to EOF also lets the transport reuse the connection).
+// Transport errors and non-200 replies (classified by httpError) come
+// back as they are; read and decode failures are wrapped with what and
+// the endpoint.
+func (r *Router) fetch(req *http.Request, what, endpoint string, decode func([]byte) error) error {
+	resp, err := r.client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return httpError(resp)
+	}
+	bp := replyBufs.Get().(*[]byte)
+	data, err := serve.ReadBody((*bp)[:0], resp.Body)
+	if err == nil {
+		err = decode(data)
+	}
+	if cap(data) <= maxPooledBytes {
+		*bp = data
+		replyBufs.Put(bp)
+	}
+	if err != nil {
+		return fmt.Errorf("decoding %s from %s: %w", what, endpoint, err)
+	}
+	return nil
 }
 
 // httpError classifies a non-200 response: 4xx are permanent (the
@@ -464,34 +479,31 @@ func (r *Router) RouteBatch(ctx context.Context, synopsis, metric string, ranges
 	}
 
 	type nodeResult struct {
-		values  []float64
-		errs    []*float64
-		version int64
-		report  WindowReport
-		ok      bool
+		reply  serve.BatchReply
+		report WindowReport
+		ok     bool
 	}
 	results := make([]nodeResult, len(r.topo.Nodes))
-	var tasks []func()
+	var active []int
 	for ni := range r.topo.Nodes {
-		if len(perNode[ni]) == 0 {
-			continue
+		if len(perNode[ni]) > 0 {
+			active = append(active, ni)
 		}
-		ni := ni
-		tasks = append(tasks, func() {
-			subs := perNode[ni]
-			subRanges := make([][2]int, len(subs))
-			budget := math.NaN()
-			for j, s := range subs {
-				subRanges[j] = [2]int{s.w.Lo, s.w.Hi}
-				if !math.IsNaN(s.budget) && (math.IsNaN(budget) || s.budget < budget) {
-					budget = s.budget
-				}
-			}
-			values, errs, version, report, ok := r.batchNode(ctx, ni, synopsis, metric, subRanges, budget)
-			results[ni] = nodeResult{values: values, errs: errs, version: version, report: report, ok: ok}
-		})
 	}
-	parallel.Do(tasks...)
+	fanOut(len(active), func(k int) {
+		ni := active[k]
+		subs := perNode[ni]
+		subRanges := make([][2]int, len(subs))
+		budget := math.NaN()
+		for j, s := range subs {
+			subRanges[j] = [2]int{s.w.Lo, s.w.Hi}
+			if !math.IsNaN(s.budget) && (math.IsNaN(budget) || s.budget < budget) {
+				budget = s.budget
+			}
+		}
+		nr := &results[ni]
+		nr.report, nr.ok = r.batchNode(ctx, ni, synopsis, metric, subRanges, budget, &nr.reply)
+	})
 
 	var firstErr string
 	anyServed := false
@@ -513,21 +525,20 @@ func (r *Router) RouteBatch(ctx context.Context, synopsis, metric string, ranges
 			continue
 		}
 		anyServed = true
-		res.Versions[r.topo.Nodes[ni].ID] = nr.version
+		res.Versions[r.topo.Nodes[ni].ID] = nr.reply.Version
 		for j, s := range subs {
-			res.Values[s.rangeIdx] += nr.values[j]
-			if nr.errs[j] == nil {
+			res.Values[s.rangeIdx] += nr.reply.Values[j]
+			if e := nr.reply.Errs[j]; math.IsInf(e, 1) {
 				bounds[s.rangeIdx] = math.Inf(1)
 				rigorous[s.rangeIdx] = false
 			} else {
-				bounds[s.rangeIdx] += *nr.errs[j]
+				bounds[s.rangeIdx] += e
 			}
 		}
 	}
 	for i := range ranges {
 		if res.Served[i] && !math.IsInf(bounds[i], 1) && rigorous[i] {
-			bound := bounds[i]
-			res.Errs[i] = &bound
+			res.Errs[i] = &bounds[i]
 		}
 	}
 	if res.Partial {
@@ -540,32 +551,43 @@ func (r *Router) RouteBatch(ctx context.Context, synopsis, metric string, ranges
 }
 
 // batchNode sends one node its batched sub-ranges, failing over through
-// its endpoints like subQuery. The report covers the node's whole owned
-// window (its sub-ranges all lie inside it).
-func (r *Router) batchNode(ctx context.Context, ni int, synopsis, metric string, subRanges [][2]int, budget float64) ([]float64, []*float64, int64, WindowReport, bool) {
+// its endpoints like subQuery, and decodes the serving endpoint's answer
+// into reply. The report covers the node's whole owned window (its
+// sub-ranges all lie inside it).
+func (r *Router) batchNode(ctx context.Context, ni int, synopsis, metric string, subRanges [][2]int, budget float64, reply *serve.BatchReply) (WindowReport, bool) {
 	node := &r.topo.Nodes[ni]
 	rep := WindowReport{Window: node.Window, Node: node.ID}
 	endpoints := r.health.order(node.Endpoints())
 	maxAttempts := r.maxAttempts(node)
+	// The body is encoded once and never pooled: the transport may still
+	// be reading a request body after Do returns.
+	var enc serve.Encoder
+	enc.Grow(32 + 24*len(subRanges))
+	serve.AppendBatchRequest(&enc, synopsis, metric, subRanges, budget)
+	body, err := enc.Bytes()
+	if err != nil {
+		rep.Status, rep.Err = "failed", err.Error()
+		return rep, false
+	}
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			retriesTotal.Inc()
 			r.backoff(ctx, attempt)
 			if ctx.Err() != nil {
 				rep.Status, rep.Err = "failed", ctx.Err().Error()
-				return nil, nil, 0, rep, false
+				return rep, false
 			}
 		}
 		ep := endpoints[attempt%len(endpoints)]
 		rep.Attempts = attempt + 1
-		values, errs, version, err := r.batchEndpoint(ctx, ep, synopsis, metric, subRanges, budget)
+		err := r.batchEndpoint(ctx, ep, body, len(subRanges), reply)
 		if err == nil {
 			rep.Endpoint = ep
 			rep.Replica = ep != node.Addr
 			rep.Status = "approx"
 			allExact := true
-			for _, e := range errs {
-				if e == nil || *e != 0 {
+			for _, e := range reply.Errs {
+				if e != 0 {
 					allExact = false
 					break
 				}
@@ -576,7 +598,7 @@ func (r *Router) batchNode(ctx context.Context, ni int, synopsis, metric string,
 			if rep.Replica {
 				failoversTotal.Inc()
 			}
-			return values, errs, version, rep, true
+			return rep, true
 		}
 		rep.Err = err.Error()
 		var pe *permanentError
@@ -585,55 +607,58 @@ func (r *Router) batchNode(ctx context.Context, ni int, synopsis, metric string,
 		}
 	}
 	rep.Status = "failed"
-	return nil, nil, 0, rep, false
+	return rep, false
 }
 
-// batchEndpoint performs one POST /query/batch attempt.
-func (r *Router) batchEndpoint(ctx context.Context, endpoint, synopsis, metric string, subRanges [][2]int, budget float64) ([]float64, []*float64, int64, error) {
+// batchEndpoint performs one POST /query/batch attempt with an encoded
+// request for n ranges, decoding the reply into reply; on success
+// reply.Errs holds one bound per range (+Inf for unbounded).
+func (r *Router) batchEndpoint(ctx context.Context, endpoint string, body []byte, n int, reply *serve.BatchReply) error {
 	start := time.Now()
 	subqueriesTotal.Inc()
 	defer func() { subquerySeconds.Since(start) }()
 
-	reqBody := map[string]any{"ranges": subRanges}
-	if synopsis != "" {
-		reqBody["synopsis"] = synopsis
-	}
-	if metric != "" {
-		reqBody["metric"] = metric
-	}
-	if !math.IsNaN(budget) {
-		reqBody["maxerr"] = budget
-	}
-	data, err := json.Marshal(reqBody)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, endpoint+"/query/batch", bytes.NewReader(body))
 	if err != nil {
-		return nil, nil, 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, endpoint+"/query/batch", bytes.NewReader(data))
-	if err != nil {
-		return nil, nil, 0, err
+		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return nil, nil, 0, err
+	if err := r.fetch(req, "batch", endpoint, reply.Decode); err != nil {
+		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, nil, 0, httpError(resp)
+	if len(reply.Values) != n {
+		return &permanentError{msg: fmt.Sprintf("%s returned %d values for %d ranges", endpoint, len(reply.Values), n)}
 	}
-	var body struct {
-		Values  []float64  `json:"values"`
-		Errs    []*float64 `json:"errs"`
-		Version int64      `json:"version"`
+	if reply.NoErrs {
+		reply.Errs = reply.Errs[:0]
+		for range n {
+			reply.Errs = append(reply.Errs, math.Inf(1))
+		}
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return nil, nil, 0, fmt.Errorf("decoding batch from %s: %w", endpoint, err)
+	if len(reply.Errs) < n {
+		return &permanentError{msg: fmt.Sprintf("%s returned %d bounds for %d ranges", endpoint, len(reply.Errs), n)}
 	}
-	if len(body.Values) != len(subRanges) {
-		return nil, nil, 0, &permanentError{msg: fmt.Sprintf("%s returned %d values for %d ranges", endpoint, len(body.Values), len(subRanges))}
+	return nil
+}
+
+// fanOut runs fn(0), …, fn(n-1) concurrently, one goroutine per target,
+// and waits for all of them. Network fan-out stays off the bounded CPU
+// pool (parallel.Do): that pool's width is tied to GOMAXPROCS and shared
+// with query and build work, so on a small or busy machine sub-requests
+// would queue behind each other and a fan-out would cost the sum of the
+// node latencies instead of the max.
+func fanOut(n int, fn func(i int)) {
+	if n == 0 {
+		return
 	}
-	if body.Errs == nil {
-		body.Errs = make([]*float64, len(subRanges))
+	var wg sync.WaitGroup
+	wg.Add(n - 1)
+	for i := 1; i < n; i++ {
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
 	}
-	return body.Values, body.Errs, body.Version, nil
+	fn(0)
+	wg.Wait()
 }

@@ -7,10 +7,12 @@
 // at Workers() (GOMAXPROCS by default, overridable with SetWorkers or the
 // RANGEAGG_WORKERS environment variable). Helpers never block waiting for
 // a slot: when the budget is exhausted — including when a parallel region
-// is nested inside another — the caller simply runs the work inline. That
-// makes nesting (an experiment building a synopsis whose DP parallelizes
-// its own layers) safe by construction: no deadlocks, and the total number
-// of running workers stays bounded instead of multiplying.
+// is nested inside another — the caller simply runs the work inline,
+// taking up slots that free while it works. That makes nesting (an
+// experiment building a synopsis whose DP parallelizes its own layers)
+// safe by construction: no deadlocks, and the total number of running
+// workers stays bounded instead of multiplying. A caller waiting for its
+// workers lends its slot to the regions nested in them.
 //
 // All helpers assign work by index, so callers that write results into
 // per-index slots get deterministic, scheduling-independent output.
@@ -40,8 +42,11 @@ var (
 var maxWorkers atomic.Int64
 
 // inflight counts extra worker goroutines currently running across all
-// parallel regions; it never exceeds maxWorkers − 1 (the caller's own
-// goroutine is the remaining worker).
+// parallel regions, less the region callers lending their share while
+// they wait for their workers; it never exceeds maxWorkers − 1 (the
+// caller's own goroutine is the remaining worker). A slot a caller lent
+// may still be in use when its wait ends, so for the rest of that
+// borrower's region one goroutine more than maxWorkers can be busy.
 var inflight atomic.Int64
 
 func init() {
@@ -101,46 +106,65 @@ func ForEachChunk(n, grain int, fn func(lo, hi int)) {
 		want = chunks
 	}
 	var next atomic.Int64
-	drain := func() {
-		for {
-			lo := int(next.Add(int64(grain))) - grain
-			if lo >= n {
-				return
-			}
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
+	// chunk runs the next unclaimed chunk and reports whether there was
+	// one.
+	chunk := func() bool {
+		lo := int(next.Add(int64(grain))) - grain
+		if lo >= n {
+			return false
 		}
+		fn(lo, min(lo+grain, n))
+		return true
 	}
 	poolRegions.Inc()
 	if want <= 1 {
 		poolInline.Inc()
-		drain()
+		for chunk() {
+		}
 		return
 	}
 	var wg sync.WaitGroup
 	spawned := 0
-	for i := 1; i < want; i++ {
-		if !tryAcquire() {
-			break
+	// spawn starts one more worker if the region wants one and the
+	// budget has a free slot. Only the caller's goroutine spawns.
+	spawn := func() bool {
+		if spawned >= want-1 || !tryAcquire() {
+			return false
 		}
 		spawned++
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer release()
-			drain()
+			for chunk() {
+			}
 		}()
+		return true
+	}
+	for spawn() {
+	}
+	// The caller drains too, and between its chunks takes up slots freed
+	// since the region began. Without that, a region started while an
+	// enclosing region's workers held the budget (a segmented build
+	// inside a snapshot rebuild) would run inline to the end even after
+	// those workers finish.
+	for chunk() {
+		if int(next.Load()) < n {
+			spawn()
+		}
 	}
 	if spawned == 0 {
 		poolInline.Inc()
-	} else {
-		poolWorkers.Add(int64(spawned))
+		return
 	}
-	drain()
+	// Lend the caller's share of the budget while it only waits: a
+	// worker still running a long chunk (one synopsis build of a
+	// snapshot rebuild) can then parallelize the regions nested in it on
+	// the CPU the caller leaves idle.
+	release()
 	wg.Wait()
+	inflight.Add(1)
+	poolWorkers.Add(int64(spawned))
 }
 
 // ForEach runs fn for every index in [0, n), one index per task, over the

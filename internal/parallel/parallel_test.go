@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForEachCoversAllIndices(t *testing.T) {
@@ -69,5 +70,68 @@ func TestSerialWidthRunsInline(t *testing.T) {
 	ForEachChunk(100, 7, func(lo, hi int) { count += hi - lo })
 	if count != 100 {
 		t.Fatalf("count = %d", count)
+	}
+}
+
+// TestRegionTakesUpFreedSlot: a region that starts while the budget is
+// exhausted picks up a worker slot as soon as one frees, instead of
+// running inline to the end. Here the only slot is held when the region
+// starts and released by its first task; tasks 1 and 2 then only finish
+// if they run concurrently.
+func TestRegionTakesUpFreedSlot(t *testing.T) {
+	defer SetWorkers(SetWorkers(2))
+	if !tryAcquire() {
+		t.Fatal("extra-worker slot unexpectedly busy")
+	}
+	var running atomic.Int64
+	ForEach(3, func(i int) {
+		if i == 0 {
+			release()
+			return
+		}
+		running.Add(1)
+		deadline := time.Now().Add(5 * time.Second)
+		for running.Load() < 2 {
+			if time.Now().After(deadline) {
+				t.Error("tasks 1 and 2 never ran concurrently: the freed slot was not taken up")
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+}
+
+// TestWaitingCallerLendsSlot: once a region's caller has run out of
+// chunks and only waits for its workers, its share of the budget is
+// free for the regions nested in those workers. Each round runs two
+// tasks on the caller and its one worker; whichever finishes first, the
+// other must see the whole budget free. The task-to-goroutine split is
+// up to the scheduler, so the round repeats.
+func TestWaitingCallerLendsSlot(t *testing.T) {
+	defer SetWorkers(SetWorkers(2))
+	for round := 0; round < 20; round++ {
+		var started atomic.Int64
+		failed := false
+		ForEach(2, func(i int) {
+			started.Add(1)
+			for started.Load() < 2 {
+				runtime.Gosched()
+			}
+			if i == 0 {
+				return
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for inflight.Load() != 0 {
+				if time.Now().After(deadline) {
+					t.Errorf("round %d: budget still held while the other goroutine only waits", round)
+					failed = true
+					return
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+		})
+		if failed {
+			return
+		}
 	}
 }

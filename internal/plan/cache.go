@@ -106,8 +106,12 @@ func (c *Cache) get(k Key) (cached, bool) {
 	s := c.shard(k)
 	s.mu.Lock()
 	el, ok := s.entries[k]
+	var v cached
 	if ok {
 		s.order.MoveToFront(el)
+		// Read under the lock: put overwrites an existing entry's value
+		// in place.
+		v = el.Value.(*cacheEntry).val
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -115,7 +119,7 @@ func (c *Cache) get(k Key) (cached, bool) {
 		return cached{}, false
 	}
 	c.hits.Add(1)
-	return el.Value.(*cacheEntry).val, true
+	return v, true
 }
 
 // put stores an answer for k, evicting the least recently used entry of

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"rangeagg/internal/codec"
@@ -23,8 +24,9 @@ import (
 //	                        MaxLag, replication state; 503 when not ready
 //	GET  /checkpoint        stream the newest atomic checkpoint (durable
 //	                        nodes only) — the replication pull source
-//	GET  /query             one query: ?a=&b=[&syn=][&metric=COUNT|SUM]
-//	POST /query/batch       {"synopsis","metric","ranges":[[a,b],...]}
+//	GET  /query             one query: ?a=&b=[&syn=][&metric=COUNT|SUM][&maxerr=]
+//	POST /query/batch       {"synopsis","metric","ranges":[[a,b],...],"maxerr"}
+//	                        (bodies over MaxBatchBytes: 413)
 //	POST /ingest            {"inserts":[{"value","count"}],"deletes":[...]}
 //	POST /load              {"counts":[...]}
 //	POST /rebuild           force a snapshot rebuild now
@@ -38,6 +40,8 @@ import (
 //	GET  /trace             recent obs spans (newest first) and slow ops
 //
 // Every response is JSON; errors are {"error": "..."} with an HTTP status.
+// The two query endpoints speak through the wire codec (wire.go); an
+// answer JSON cannot carry (NaN, ±Inf) fails them with a 500.
 // All observations land in m (which may be shared with other handlers).
 func NewHandler(s *Server, m *Metrics) http.Handler {
 	mux := http.NewServeMux()
@@ -123,30 +127,23 @@ func NewHandler(s *Server, m *Metrics) http.Handler {
 		if res.Err != nil {
 			return http.StatusNotFound, res.Err
 		}
-		resp := map[string]any{
-			"value":   res.Value,
-			"version": version,
-			"path":    res.Path.String(),
-			"source":  res.Source,
-		}
-		// JSON cannot encode +Inf: a model-less answer simply omits the
-		// bound instead of carrying a sentinel.
-		if !math.IsInf(res.Bound, 1) {
-			resp["err"] = res.Bound
-			resp["rigorous"] = res.Rigorous
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return 0, nil
+		st := batchStates.Get().(*batchState)
+		defer st.put()
+		st.enc.Reset()
+		appendQueryResponse(&st.enc, res, version)
+		return WriteEncoded(w, &st.enc)
 	})
 
 	handle("/query/batch", http.MethodPost, func(w http.ResponseWriter, r *http.Request) (int, error) {
-		var req struct {
-			Synopsis string   `json:"synopsis"`
-			Metric   string   `json:"metric"`
-			Ranges   [][2]int `json:"ranges"`
-			MaxErr   *float64 `json:"maxerr"`
+		st := batchStates.Get().(*batchState)
+		defer st.put()
+		var status int
+		var err error
+		if st.body, status, err = ReadBatchBody(st.body[:0], w, r); err != nil {
+			return status, err
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		req := &st.req
+		if err := req.Decode(st.body); err != nil {
 			return http.StatusBadRequest, fmt.Errorf("decoding batch request: %w", err)
 		}
 		metric, err := engine.ParseMetric(req.Metric)
@@ -156,25 +153,19 @@ func NewHandler(s *Server, m *Metrics) http.Handler {
 		if req.MaxErr != nil && (*req.MaxErr < 0 || math.IsNaN(*req.MaxErr)) {
 			return http.StatusBadRequest, fmt.Errorf("maxerr must be a non-negative number, got %g", *req.MaxErr)
 		}
-		qs := make([]Query, len(req.Ranges))
-		for i, rg := range req.Ranges {
-			qs[i] = Query{Synopsis: req.Synopsis, Metric: metric, A: rg[0], B: rg[1], MaxErr: req.MaxErr}
+		st.qs = st.qs[:0]
+		for _, rg := range req.Ranges {
+			st.qs = append(st.qs, Query{Synopsis: req.Synopsis, Metric: metric, A: rg[0], B: rg[1], MaxErr: req.MaxErr})
 		}
-		results, version := s.QueryBatch(qs)
-		values := make([]float64, len(results))
-		errs := make([]*float64, len(results))
-		for i, res := range results {
+		results, version := s.QueryBatch(st.qs)
+		for _, res := range results {
 			if res.Err != nil {
 				return http.StatusNotFound, res.Err
 			}
-			values[i] = res.Value
-			if !math.IsInf(res.Bound, 1) {
-				bound := res.Bound
-				errs[i] = &bound
-			}
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"values": values, "errs": errs, "version": version})
-		return 0, nil
+		st.enc.Reset()
+		appendBatchResponse(&st.enc, results, version)
+		return WriteEncoded(w, &st.enc)
 	})
 
 	handle("/ingest", http.MethodPost, func(w http.ResponseWriter, r *http.Request) (int, error) {
@@ -371,6 +362,71 @@ func queryFromURL(r *http.Request) (Query, error) {
 		q.MaxErr = &f
 	}
 	return q, nil
+}
+
+// batchState is one query request's reusable buffers.
+type batchState struct {
+	body []byte
+	req  BatchRequest
+	qs   []Query
+	enc  Encoder
+}
+
+var batchStates = sync.Pool{New: func() any { return new(batchState) }}
+
+// put recycles the state unless one large request grew its buffers.
+func (st *batchState) put() {
+	if cap(st.body) <= maxPooledBytes && cap(st.enc.buf) <= maxPooledBytes && cap(st.qs) <= maxPooledBytes/64 {
+		batchStates.Put(st)
+	}
+}
+
+// appendQueryResponse encodes a /query answer: the keys of the
+// map encoding/json used to write, in its sorted order, with err and
+// rigorous omitted for an unbounded answer (JSON cannot encode +Inf).
+func appendQueryResponse(e *Encoder, res Result, version int64) {
+	bounded := !math.IsInf(res.Bound, 1)
+	e.Raw("{")
+	if bounded {
+		e.Raw(`"err":`)
+		e.Float(res.Bound)
+		e.Raw(",")
+	}
+	e.Raw(`"path":`)
+	e.String(res.Path.String())
+	if bounded {
+		e.Raw(`,"rigorous":`)
+		e.Bool(res.Rigorous)
+	}
+	e.Raw(`,"source":`)
+	e.String(res.Source)
+	e.Raw(`,"value":`)
+	e.Float(res.Value)
+	e.Raw(`,"version":`)
+	e.Int(version)
+	e.Raw("}")
+}
+
+// appendBatchResponse encodes a /query/batch answer:
+// {"errs":[bound|null,...],"values":[...],"version":v}.
+func appendBatchResponse(e *Encoder, results []Result, version int64) {
+	e.Raw(`{"errs":[`)
+	for i := range results {
+		if i > 0 {
+			e.Raw(",")
+		}
+		e.FloatOrNull(results[i].Bound)
+	}
+	e.Raw(`],"values":[`)
+	for i := range results {
+		if i > 0 {
+			e.Raw(",")
+		}
+		e.Float(results[i].Value)
+	}
+	e.Raw(`],"version":`)
+	e.Int(version)
+	e.Raw("}")
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

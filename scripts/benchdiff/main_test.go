@@ -18,7 +18,7 @@ ok  	rangeagg	12.3s
 `
 
 func TestParseBenchAndMedians(t *testing.T) {
-	samples := parseBench(sampleOutput)
+	samples := parseBench(sampleOutput, 8)
 	if got := len(samples["ConstructScaling/A0/n=128"]); got != 3 {
 		t.Fatalf("A0 samples = %d, want 3", got)
 	}
@@ -35,14 +35,46 @@ func TestParseBenchAndMedians(t *testing.T) {
 }
 
 func TestNormalizeName(t *testing.T) {
-	for in, want := range map[string]string{
-		"BenchmarkConstructScaling/SAP0/n=512-16": "ConstructScaling/SAP0/n=512",
-		"BenchmarkServeHTTP/single-256-8":         "ServeHTTP/single-256",
-		"BenchmarkFoo":                            "Foo",
+	for _, tc := range []struct {
+		in    string
+		procs int
+		want  string
+	}{
+		{"BenchmarkConstructScaling/SAP0/n=512-16", 16, "ConstructScaling/SAP0/n=512"},
+		{"BenchmarkServeHTTP/single-256-8", 8, "ServeHTTP/single-256"},
+		{"BenchmarkServeHTTP/single-256", 1, "ServeHTTP/single-256"},
+		{"BenchmarkSegmentedRebuild/dirty-1-of-8-2", 2, "SegmentedRebuild/dirty-1-of-8"},
+		{"BenchmarkFoo", 1, "Foo"},
+		{"BenchmarkFoo-4", 4, "Foo"},
 	} {
-		if got := normalizeName(in); got != want {
-			t.Errorf("normalizeName(%q) = %q, want %q", in, got, want)
+		if got := normalizeName(tc.in, tc.procs); got != tc.want {
+			t.Errorf("normalizeName(%q, %d) = %q, want %q", tc.in, tc.procs, got, tc.want)
 		}
+	}
+}
+
+// TestNormalizeNameKeepsSizeLabels pins the gate-bug fix: only the real
+// -GOMAXPROCS suffix is stripped. The same benchmark keys identically at
+// any core count, and sub-benchmarks that differ only in a trailing
+// number keep distinct keys (and so never merge their samples).
+func TestNormalizeNameKeepsSizeLabels(t *testing.T) {
+	if a, b := normalizeName("BenchmarkX/batch-256-2", 2), normalizeName("BenchmarkX/batch-256", 1); a != b || a != "X/batch-256" {
+		t.Errorf("X/batch-256 at 2 procs keys as %q, at 1 proc as %q; want both X/batch-256", a, b)
+	}
+	for _, procs := range []int{1, 2} {
+		suffix := ""
+		if procs != 1 {
+			suffix = "-2"
+		}
+		a := normalizeName("BenchmarkX/a-1"+suffix, procs)
+		b := normalizeName("BenchmarkX/a-2"+suffix, procs)
+		if a == b || a != "X/a-1" || b != "X/a-2" {
+			t.Errorf("at %d procs X/a-1 and X/a-2 key as %q and %q; want them distinct and intact", procs, a, b)
+		}
+	}
+	out := "BenchmarkX/a-1-2 \t 10 \t 100 ns/op\nBenchmarkX/a-2-2 \t 10 \t 300 ns/op\n"
+	if samples := parseBench(out, 2); len(samples["X/a-1"]) != 1 || len(samples["X/a-2"]) != 1 {
+		t.Errorf("parseBench merged distinct benchmarks: %v", samples)
 	}
 }
 
