@@ -11,18 +11,23 @@ test:
 race:
 	$(GO) test -race -count=1 ./...
 
+# The single list of gated benchmarks: `bench` runs them, `benchdiff`
+# (which CI's bench-regression job calls) gates them and
+# `bench-baseline` records them.
+BENCH_GATED := ConstructScaling|ServeHTTP|PlannerPaths|SegmentedRebuild|RouterFanout|IngestSustained
+
 bench:
-	$(GO) test -run '^$$' -bench 'ConstructScaling|ServeHTTP|SegmentedRebuild|RouterFanout|IngestSustained' -benchtime 100ms .
+	$(GO) test -run '^$$' -bench '$(BENCH_GATED)' -benchtime 100ms .
 
 # Gate the benchmarks against the committed baseline (fails on >15%
 # median regression; see scripts/benchdiff).
 benchdiff:
-	$(GO) run ./scripts/benchdiff
+	$(GO) run ./scripts/benchdiff -bench '$(BENCH_GATED)'
 
 # Refresh BENCH_baseline.json after an intentional performance change.
 # Run on the reference machine, then commit the updated baseline.
 bench-baseline:
-	$(GO) run ./scripts/benchdiff -update
+	$(GO) run ./scripts/benchdiff -bench '$(BENCH_GATED)' -update
 
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadSynopsis -fuzztime 10s .

@@ -30,6 +30,7 @@ import (
 	"rangeagg/internal/engine"
 	"rangeagg/internal/experiments"
 	"rangeagg/internal/ingest"
+	"rangeagg/internal/method"
 	"rangeagg/internal/parallel"
 	"rangeagg/internal/plan"
 	"rangeagg/internal/prefix"
@@ -221,9 +222,9 @@ func BenchmarkDPKernel(b *testing.B) {
 // (the polynomial methods at one budget).
 func BenchmarkAdvisorSweep(b *testing.B) {
 	counts := PaperCounts()
-	cfg := advisor.Config{BudgetWords: 32, Methods: []build.Method{
-		build.EquiWidth, build.EquiDepth, build.MaxDiff, build.PointOpt,
-		build.A0, build.SAP0, build.SAP1, build.WaveTopBB,
+	cfg := advisor.Config{BudgetWords: 32, Methods: []method.ID{
+		method.EquiWidth, method.EquiDepth, method.MaxDiff, method.PointOpt,
+		method.A0, method.SAP0, method.SAP1, method.WaveTopBB,
 	}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -386,7 +387,7 @@ func serveBench(b *testing.B) (*serve.Server, []serve.Query) {
 		b.Fatal(err)
 	}
 	specs := []engine.SynopsisSpec{
-		{Name: "h", Metric: engine.Count, Options: build.Options{Method: build.SAP1, BudgetWords: 64}},
+		{Name: "h", Metric: engine.Count, Options: build.Options{Method: method.SAP1, BudgetWords: 64}},
 	}
 	srv, err := serve.New(eng, specs, serve.Config{})
 	if err != nil {
@@ -514,8 +515,8 @@ func plannerBench(b testing.TB, cacheEntries int) (*serve.Server, []serve.Query)
 		b.Fatal(err)
 	}
 	specs := []engine.SynopsisSpec{
-		{Name: "coarse", Metric: engine.Count, Options: build.Options{Method: build.EquiWidth, BudgetWords: 16}},
-		{Name: "fine", Metric: engine.Count, Options: build.Options{Method: build.WaveTopBB, BudgetWords: 256}},
+		{Name: "coarse", Metric: engine.Count, Options: build.Options{Method: method.EquiWidth, BudgetWords: 16}},
+		{Name: "fine", Metric: engine.Count, Options: build.Options{Method: method.WaveTopBB, BudgetWords: 256}},
 	}
 	srv, err := serve.New(eng, specs, serve.Config{CacheEntries: cacheEntries})
 	if err != nil {
@@ -684,10 +685,10 @@ func BenchmarkSegmentedRebuild(b *testing.B) {
 		}
 	}
 	b.Run("dirty-1-of-8", func(b *testing.B) {
-		run(b, build.Options{Method: build.Segmented, BudgetWords: 256, Segments: 8})
+		run(b, build.Options{Method: method.Segmented, BudgetWords: 256, Segments: 8})
 	})
 	b.Run("full-monolithic", func(b *testing.B) {
-		run(b, build.Options{Method: build.A0Approx, BudgetWords: 256, Epsilon: 0.1})
+		run(b, build.Options{Method: method.A0Approx, BudgetWords: 256, Epsilon: 0.1})
 	})
 }
 
@@ -711,7 +712,7 @@ func ingestBench(b *testing.B, mode ingest.Mode) (*serve.Server, []serve.Query) 
 		b.Fatal(err)
 	}
 	specs := []engine.SynopsisSpec{
-		{Name: "seg", Metric: engine.Count, Options: build.Options{Method: build.Segmented, BudgetWords: 256, Segments: 8}},
+		{Name: "seg", Metric: engine.Count, Options: build.Options{Method: method.Segmented, BudgetWords: 256, Segments: 8}},
 	}
 	srv, err := serve.New(eng, specs, serve.Config{
 		Debounce: time.Hour,
@@ -827,7 +828,7 @@ func routerBench(b *testing.B, k int) (*cluster.Router, [][2]int) {
 		b.Fatal(err)
 	}
 	specs := []engine.SynopsisSpec{
-		{Name: "h", Metric: engine.Count, Options: build.Options{Method: build.SAP1, BudgetWords: 64}},
+		{Name: "h", Metric: engine.Count, Options: build.Options{Method: method.SAP1, BudgetWords: 64}},
 	}
 	type nodeJSON struct {
 		ID     string `json:"id"`

@@ -16,6 +16,7 @@ import (
 
 	"rangeagg/internal/build"
 	"rangeagg/internal/engine"
+	"rangeagg/internal/method"
 )
 
 // TestSynserveCrashRecovery is the durability e2e: synserve runs with a
@@ -175,7 +176,7 @@ func TestSynserveCrashRecovery(t *testing.T) {
 
 	// Synopsis answers must match a reference build on the same counts
 	// (the construction is deterministic).
-	if _, err := ref.BuildSynopsis("h", engine.Count, build.Options{Method: build.VOptimal, BudgetWords: 32}); err != nil {
+	if _, err := ref.BuildSynopsis("h", engine.Count, build.Options{Method: method.VOptimal, BudgetWords: 32}); err != nil {
 		t.Fatal(err)
 	}
 	for _, rg := range [][2]int{{0, domain - 1}, {5, 40}, {32, 33}} {

@@ -19,6 +19,7 @@ import (
 	"rangeagg/internal/build"
 	"rangeagg/internal/dataset"
 	"rangeagg/internal/engine"
+	"rangeagg/internal/method"
 	"rangeagg/internal/serve"
 )
 
@@ -193,7 +194,7 @@ func TestServeHTTPSnapshotConsistencyUnderRebuildStorm(t *testing.T) {
 	specs := []engine.SynopsisSpec{
 		// One bucket per value: the histogram reproduces uniform data
 		// exactly, so synopsis answers are version-checkable too.
-		{Name: "h", Metric: engine.Count, Options: build.Options{Method: build.EquiWidth, BudgetWords: 2 * domain}},
+		{Name: "h", Metric: engine.Count, Options: build.Options{Method: method.EquiWidth, BudgetWords: 2 * domain}},
 	}
 	srv, err := serve.New(eng, specs, serve.Config{Debounce: time.Millisecond, MaxLag: 5 * time.Millisecond, FanOut: 16})
 	if err != nil {

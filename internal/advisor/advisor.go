@@ -20,7 +20,7 @@ import (
 // Candidate is one evaluated method.
 type Candidate struct {
 	// Method is the construction.
-	Method build.Method
+	Method method.ID
 	// Epsilon is the approximation target the candidate was built with —
 	// set for Approximate-capability methods (one candidate per swept ε),
 	// zero for exact constructions.
@@ -45,7 +45,7 @@ type Config struct {
 	// Methods restricts the candidate set; nil means every registered
 	// method except pseudo-polynomial ones when the instance exceeds
 	// ExactLimit.
-	Methods []build.Method
+	Methods []method.ID
 	// Require keeps only candidates whose registered capabilities include
 	// every flag in the set — e.g. method.Serializable when the chosen
 	// synopsis must persist, or method.Mergeable for a sharded deployment.
@@ -86,7 +86,7 @@ func Recommend(counts []int64, queries []sse.Range, cfg Config) ([]Candidate, er
 	}
 	candidates := cfg.Methods
 	if candidates == nil {
-		candidates = build.Methods()
+		candidates = method.IDs()
 	}
 	epsilons := cfg.Epsilons
 	if epsilons == nil {
@@ -95,7 +95,7 @@ func Recommend(counts []int64, queries []sse.Range, cfg Config) ([]Candidate, er
 	// One spec per build: exact methods contribute one candidate (ε = 0),
 	// Approximate-capability methods one per swept ε.
 	type spec struct {
-		m   build.Method
+		m   method.ID
 		eps float64
 	}
 	var specs []spec

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"rangeagg/internal/build"
 	"rangeagg/internal/dataset"
 	"rangeagg/internal/method"
 	"rangeagg/internal/parallel"
@@ -40,13 +39,13 @@ func TestRecommendRanksByWorkloadError(t *testing.T) {
 	}
 	// On the all-ranges metric, the winner must be one of the range-aware
 	// methods; NAIVE must rank last among successful candidates.
-	if best.Method == build.Naive {
+	if best.Method == method.Naive {
 		t.Errorf("NAIVE won: %+v", best)
 	}
 	last := cands[len(cands)-1]
-	if last.Err == nil && last.Method != build.Naive {
+	if last.Err == nil && last.Method != method.Naive {
 		// SAP1 at 24 words has only 4 buckets; either it or NAIVE ends last.
-		if last.Method != build.SAP1 && last.Method != build.WaveAA2D && last.Method != build.SAP0 {
+		if last.Method != method.SAP1 && last.Method != method.WaveAA2D && last.Method != method.SAP0 {
 			t.Logf("unexpected last place: %+v (informational)", last)
 		}
 	}
@@ -67,7 +66,7 @@ func TestRecommendWithWorkload(t *testing.T) {
 		if math.IsNaN(c.RMS) || c.RMS < 0 {
 			t.Errorf("%s: bad RMS %g", c.Method, c.RMS)
 		}
-		if c.StorageWords > 24 && c.Method != build.Naive {
+		if c.StorageWords > 24 && c.Method != method.Naive {
 			t.Errorf("%s: %d words over budget", c.Method, c.StorageWords)
 		}
 	}
@@ -77,7 +76,7 @@ func TestRecommendRestrictedMethods(t *testing.T) {
 	counts := paperCounts(t)
 	cands, err := Recommend(counts, nil, Config{
 		BudgetWords: 16,
-		Methods:     []build.Method{build.A0, build.Naive},
+		Methods:     []method.ID{method.A0, method.Naive},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +84,7 @@ func TestRecommendRestrictedMethods(t *testing.T) {
 	if len(cands) != 2 {
 		t.Fatalf("candidates = %d, want 2", len(cands))
 	}
-	if cands[0].Method != build.A0 {
+	if cands[0].Method != method.A0 {
 		t.Errorf("winner = %s, want A0", cands[0].Method)
 	}
 }
@@ -101,7 +100,7 @@ func TestRecommendSweepsEpsilon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perMethod := map[build.Method]map[float64]int{}
+	perMethod := map[method.ID]map[float64]int{}
 	for _, c := range cands {
 		if perMethod[c.Method] == nil {
 			perMethod[c.Method] = map[float64]int{}
@@ -129,7 +128,7 @@ func TestRecommendSweepsEpsilon(t *testing.T) {
 	// A custom sweep replaces the default.
 	cands, err = Recommend(counts, nil, Config{
 		BudgetWords: 24, Seed: 1,
-		Methods:  []build.Method{build.SAP0Approx},
+		Methods:  []method.ID{method.SAP0Approx},
 		Epsilons: []float64{0.5},
 	})
 	if err != nil {
@@ -166,7 +165,7 @@ func TestRecommendSkipsExactOnLargeDomains(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range cands {
-		if c.Method == build.OptA || c.Method == build.OptARounded {
+		if c.Method == method.OptA || c.Method == method.OptARounded {
 			t.Errorf("exact family not skipped: %s", c.Method)
 		}
 	}
@@ -186,14 +185,14 @@ func TestBestSkipsFailures(t *testing.T) {
 		t.Error("empty candidate list accepted")
 	}
 	cands := []Candidate{
-		{Method: build.OptA, Err: errFake{}},
-		{Method: build.A0, SSE: 5},
+		{Method: method.OptA, Err: errFake{}},
+		{Method: method.A0, SSE: 5},
 	}
 	best, err := Best(cands)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best.Method != build.A0 {
+	if best.Method != method.A0 {
 		t.Errorf("best = %s", best.Method)
 	}
 }

@@ -34,51 +34,15 @@ func phaseSeconds(name, phase string) *obs.Histogram {
 		obs.L("method", name, "phase", phase)...)
 }
 
-// Estimator answers approximate range-sum queries; it is the internal
-// counterpart of the facade's Synopsis interface.
-type Estimator = method.Estimator
-
-// Method selects a synopsis construction algorithm. It is the registry's
-// ID type; the facade's public enum carries the same numbering
-// (TestMethodEnumAligned guards it).
-type Method = method.ID
-
-// The registered methods, re-exported so consumers keep one import.
-const (
-	Naive          = method.Naive
-	EquiWidth      = method.EquiWidth
-	EquiDepth      = method.EquiDepth
-	MaxDiff        = method.MaxDiff
-	VOptimal       = method.VOptimal
-	PointOpt       = method.PointOpt
-	A0             = method.A0
-	SAP0           = method.SAP0
-	SAP1           = method.SAP1
-	OptA           = method.OptA
-	OptARounded    = method.OptARounded
-	WaveTopBB      = method.WaveTopBB
-	WaveRangeOpt   = method.WaveRangeOpt
-	WaveAA2D       = method.WaveAA2D
-	PrefixOpt      = method.PrefixOpt
-	SAP2           = method.SAP2
-	SAP0Approx     = method.SAP0Approx
-	A0Approx       = method.A0Approx
-	PointOptApprox = method.PointOptApprox
-	Segmented      = method.Segmented
-)
-
 // ParseMethod resolves a method from its paper name (case-insensitive).
-func ParseMethod(s string) (Method, error) { return method.Parse(s) }
-
-// Methods lists every registered method in enum order.
-func Methods() []Method { return method.IDs() }
+func ParseMethod(s string) (method.ID, error) { return method.Parse(s) }
 
 // Options parameterizes Build. The fields mirror the facade's public
 // Options (see rangeagg.Options for per-field semantics); Rounding is
 // internal-only: it selects the answering procedure of
 // average-representation results (the facade always builds unrounded).
 type Options struct {
-	Method      Method             `json:"method"`
+	Method      method.ID          `json:"method"`
 	BudgetWords int                `json:"budget_words"`
 	Reopt       bool               `json:"reopt,omitempty"`
 	LocalSearch bool               `json:"local_search,omitempty"`
@@ -125,7 +89,7 @@ func (o Options) methodOpts() method.Opts {
 }
 
 // Build constructs a synopsis over the attribute-value distribution.
-func Build(counts []int64, opt Options) (Estimator, error) {
+func Build(counts []int64, opt Options) (method.Estimator, error) {
 	if len(counts) == 0 {
 		return nil, fmt.Errorf("build: empty distribution")
 	}
@@ -160,7 +124,7 @@ func Build(counts []int64, opt Options) (Estimator, error) {
 // improve applies the §4–5 improvement operators: boundary local search
 // first (it re-derives true averages), then value re-optimization. Both
 // are defined for the average representation only.
-func improve(tab *prefix.Table, est Estimator, opt Options) (Estimator, error) {
+func improve(tab *prefix.Table, est method.Estimator, opt Options) (method.Estimator, error) {
 	if !opt.LocalSearch && !opt.Reopt {
 		return est, nil
 	}
@@ -192,7 +156,7 @@ func improve(tab *prefix.Table, est Estimator, opt Options) (Estimator, error) {
 // quadratic DPs scale to domains of millions of values. Summaries are
 // recomputed at full resolution (the descriptor's FromBounds hook) for
 // the lifted boundaries, so only the boundary placement is approximate.
-func buildCoarsened(counts []int64, d method.Descriptor, opt Options) (Estimator, error) {
+func buildCoarsened(counts []int64, d method.Descriptor, opt Options) (method.Estimator, error) {
 	n, cells := len(counts), opt.CoarsenTo
 	bound := func(i int) int { return i * n / cells } // cell i = [bound(i), bound(i+1))
 	coarse := make([]int64, cells)
@@ -233,7 +197,7 @@ func buildCoarsened(counts []int64, d method.Descriptor, opt Options) (Estimator
 
 // bucketStarts extracts the bucket boundaries and label of a
 // bucket-partition estimator.
-func bucketStarts(est Estimator) ([]int, string, error) {
+func bucketStarts(est method.Estimator) ([]int, string, error) {
 	bk, ok := est.(histogram.Bucketed)
 	if !ok {
 		return nil, "", fmt.Errorf("build: %s has no bucket boundaries", est.Name())

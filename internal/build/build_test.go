@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rangeagg/internal/histogram"
+	"rangeagg/internal/method"
 	"rangeagg/internal/prefix"
 	"rangeagg/internal/sse"
 )
@@ -21,7 +22,7 @@ func testCounts() []int64 {
 }
 
 func TestMethodNamesRoundTrip(t *testing.T) {
-	for _, m := range Methods() {
+	for _, m := range method.IDs() {
 		got, err := ParseMethod(m.String())
 		if err != nil {
 			t.Errorf("%v: %v", m, err)
@@ -31,30 +32,30 @@ func TestMethodNamesRoundTrip(t *testing.T) {
 			t.Errorf("ParseMethod(%s) = %v, want %v", m, got, m)
 		}
 	}
-	if got, err := ParseMethod("opt-a"); err != nil || got != OptA {
+	if got, err := ParseMethod("opt-a"); err != nil || got != method.OptA {
 		t.Errorf("case-insensitive parse: %v, %v", got, err)
 	}
 	if _, err := ParseMethod("NOPE"); err == nil {
 		t.Error("NOPE accepted")
 	}
-	if Method(99).String() == "" {
+	if method.ID(99).String() == "" {
 		t.Error("out-of-range String empty")
 	}
 }
 
 func TestUnitsAccounting(t *testing.T) {
 	cases := []struct {
-		m    Method
+		m    method.ID
 		w, u int
 	}{
-		{Naive, 0, 1},
-		{OptA, 32, 16},    // 2 words per bucket
-		{A0, 12, 6},       // 2 words per bucket
-		{SAP0, 12, 4},     // 3 words per bucket
-		{SAP1, 15, 3},     // 5 words per bucket
-		{SAP2, 14, 2},     // 7 words per bucket
-		{WaveTopBB, 8, 4}, // 2 words per coefficient
-		{SAP1, 4, 1},      // never below one bucket
+		{method.Naive, 0, 1},
+		{method.OptA, 32, 16},    // 2 words per bucket
+		{method.A0, 12, 6},       // 2 words per bucket
+		{method.SAP0, 12, 4},     // 3 words per bucket
+		{method.SAP1, 15, 3},     // 5 words per bucket
+		{method.SAP2, 14, 2},     // 7 words per bucket
+		{method.WaveTopBB, 8, 4}, // 2 words per coefficient
+		{method.SAP1, 4, 1},      // never below one bucket
 	}
 	for _, c := range cases {
 		if got := (Options{Method: c.m, BudgetWords: c.w}).Units(); got != c.u {
@@ -64,22 +65,22 @@ func TestUnitsAccounting(t *testing.T) {
 }
 
 func TestBuildValidation(t *testing.T) {
-	if _, err := Build(nil, Options{Method: A0, BudgetWords: 8}); err == nil {
+	if _, err := Build(nil, Options{Method: method.A0, BudgetWords: 8}); err == nil {
 		t.Error("empty counts accepted")
 	}
-	if _, err := Build([]int64{1, -2}, Options{Method: A0, BudgetWords: 8}); err == nil {
+	if _, err := Build([]int64{1, -2}, Options{Method: method.A0, BudgetWords: 8}); err == nil {
 		t.Error("negative count accepted")
 	}
-	if _, err := Build([]int64{1, 2}, Options{Method: Method(99), BudgetWords: 8}); err == nil {
+	if _, err := Build([]int64{1, 2}, Options{Method: method.ID(99), BudgetWords: 8}); err == nil {
 		t.Error("unknown method accepted")
 	}
-	if _, err := Build([]int64{1, 2}, Options{Method: A0}); err == nil {
+	if _, err := Build([]int64{1, 2}, Options{Method: method.A0}); err == nil {
 		t.Error("zero budget accepted for A0")
 	}
-	if _, err := Build([]int64{1, 2}, Options{Method: Naive}); err != nil {
+	if _, err := Build([]int64{1, 2}, Options{Method: method.Naive}); err != nil {
 		t.Error("Naive must not need a budget")
 	}
-	if _, err := Build([]int64{1, 2, 3}, Options{Method: SAP0, BudgetWords: 9, Reopt: true}); err == nil {
+	if _, err := Build([]int64{1, 2, 3}, Options{Method: method.SAP0, BudgetWords: 9, Reopt: true}); err == nil {
 		t.Error("reopt accepted on a non-average representation")
 	}
 }
@@ -87,12 +88,12 @@ func TestBuildValidation(t *testing.T) {
 func TestBuildAllMethodsWithinBudget(t *testing.T) {
 	counts := testCounts()
 	tab := prefix.NewTable(counts)
-	naive, err := Build(counts, Options{Method: Naive})
+	naive, err := Build(counts, Options{Method: method.Naive})
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := sse.Of(tab, naive)
-	for _, m := range Methods() {
+	for _, m := range method.IDs() {
 		// Epsilon feeds the approximate families; exact methods ignore it.
 		est, err := Build(counts, Options{Method: m, BudgetWords: 14, Seed: 1, Epsilon: 0.1})
 		if err != nil {
@@ -106,7 +107,7 @@ func TestBuildAllMethodsWithinBudget(t *testing.T) {
 			t.Errorf("%s: %d words over the 14-word budget", m, est.StorageWords())
 		}
 		got := sse.Of(tab, est)
-		if math.IsNaN(got) || got < 0 || (m != Naive && got > base) {
+		if math.IsNaN(got) || got < 0 || (m != method.Naive && got > base) {
 			t.Errorf("%s: SSE %g vs NAIVE %g", m, got, base)
 		}
 	}
@@ -115,15 +116,15 @@ func TestBuildAllMethodsWithinBudget(t *testing.T) {
 func TestImprovementOperators(t *testing.T) {
 	counts := testCounts()
 	tab := prefix.NewTable(counts)
-	plain, err := Build(counts, Options{Method: EquiWidth, BudgetWords: 12})
+	plain, err := Build(counts, Options{Method: method.EquiWidth, BudgetWords: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls, err := Build(counts, Options{Method: EquiWidth, BudgetWords: 12, LocalSearch: true})
+	ls, err := Build(counts, Options{Method: method.EquiWidth, BudgetWords: 12, LocalSearch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	both, err := Build(counts, Options{Method: EquiWidth, BudgetWords: 12, LocalSearch: true, Reopt: true})
+	both, err := Build(counts, Options{Method: method.EquiWidth, BudgetWords: 12, LocalSearch: true, Reopt: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestCoarsenToLiftsBoundaries(t *testing.T) {
 		counts[i] = int64((i % 37) * (i % 11))
 	}
 	tab := prefix.NewTable(counts)
-	for _, m := range []Method{A0, SAP0, SAP1, EquiDepth} {
+	for _, m := range []method.ID{method.A0, method.SAP0, method.SAP1, method.EquiDepth} {
 		est, err := Build(counts, Options{Method: m, BudgetWords: 20, CoarsenTo: 64})
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
@@ -176,14 +177,14 @@ func TestCoarsenToLiftsBoundaries(t *testing.T) {
 		}
 	}
 	// CoarsenTo at or above the domain size is a no-op, not an error.
-	if _, err := Build(testCounts(), Options{Method: A0, BudgetWords: 10, CoarsenTo: 4096}); err != nil {
+	if _, err := Build(testCounts(), Options{Method: method.A0, BudgetWords: 10, CoarsenTo: 4096}); err != nil {
 		t.Errorf("oversized CoarsenTo: %v", err)
 	}
 }
 
 func TestRoundingPlumbed(t *testing.T) {
 	counts := testCounts()
-	est, err := Build(counts, Options{Method: EquiWidth, BudgetWords: 8, Rounding: histogram.RoundCumulative})
+	est, err := Build(counts, Options{Method: method.EquiWidth, BudgetWords: 8, Rounding: histogram.RoundCumulative})
 	if err != nil {
 		t.Fatal(err)
 	}

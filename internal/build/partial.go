@@ -1,11 +1,60 @@
 package build
 
 import (
-	"fmt"
 	"time"
 
 	"rangeagg/internal/method"
 )
+
+// Window accumulates the value range mutated since a synopsis was last
+// built. Point mutations widen it, bulk (or unlocatable) mutations mark
+// everything; a builder captures-and-resets it at the snapshot it
+// builds from and merges it back if the build fails, so a window always
+// covers every mutation the next build has to account for.
+type Window struct {
+	Any, All bool
+	Lo, Hi   int
+}
+
+// MarkValue widens the window to cover value v.
+func (w *Window) MarkValue(v int) {
+	if w.All {
+		return
+	}
+	if !w.Any {
+		w.Any, w.Lo, w.Hi = true, v, v
+		return
+	}
+	if v < w.Lo {
+		w.Lo = v
+	}
+	if v > w.Hi {
+		w.Hi = v
+	}
+}
+
+// MarkAll records a mutation anywhere in the domain.
+func (w *Window) MarkAll() {
+	w.Any, w.All = true, true
+}
+
+// Merge widens w to cover o — the restore path when a build that
+// captured o fails and its mutations must stay pending.
+func (w *Window) Merge(o Window) {
+	if !o.Any {
+		return
+	}
+	if o.All {
+		w.MarkAll()
+		return
+	}
+	w.MarkValue(o.Lo)
+	w.MarkValue(o.Hi)
+}
+
+// Confined reports whether mutations happened and all of them lie in
+// [Lo,Hi] — the windows partial rebuilds and maintenance can use.
+func (w Window) Confined() bool { return w.Any && !w.All }
 
 // CanRebuild reports whether opt's method supports partial rebuilds
 // (has a registry Rebuild hook).
@@ -14,20 +63,20 @@ func CanRebuild(opt Options) bool {
 	return err == nil && d.Rebuild != nil
 }
 
-// Rebuild refreshes prev after mutations confined to the value window
-// [lo,hi], via the method's registry Rebuild hook: only the affected
-// sub-structures are reconstructed from counts, the rest carry over.
-// opt must be the options prev was built with.
-func Rebuild(counts []int64, opt Options, prev Estimator, lo, hi int) (Estimator, method.RebuildStats, error) {
-	d, err := method.Lookup(opt.Method)
-	if err != nil {
-		return nil, method.RebuildStats{}, fmt.Errorf("build: unknown method %d", int(opt.Method))
+// Refresh rebuilds a synopsis over counts after the mutations recorded
+// in win. When prev is non-nil (built with opt from an earlier version
+// of counts), win is confined and the method has a registry Rebuild
+// hook, only the sub-structures covering the window are reconstructed
+// and the rest carry over; otherwise it is a full Build, substituting
+// the (1+ε)-approximate counterpart per WithApprox(opt, len(counts),
+// cutover). The stats are zero for full builds.
+func Refresh(counts []int64, opt Options, prev method.Estimator, win Window, cutover int) (method.Estimator, method.RebuildStats, error) {
+	if d, err := method.Lookup(opt.Method); err == nil && d.Rebuild != nil && prev != nil && win.Confined() {
+		defer phaseSeconds(d.Name, "rebuild").Since(time.Now())
+		return d.Rebuild(counts, prev, win.Lo, win.Hi, opt.methodOpts())
 	}
-	if d.Rebuild == nil {
-		return nil, method.RebuildStats{}, fmt.Errorf("build: %s does not support partial rebuilds", d.Name)
-	}
-	defer phaseSeconds(d.Name, "rebuild").Since(time.Now())
-	return d.Rebuild(counts, prev, lo, hi, opt.methodOpts())
+	est, err := Build(counts, WithApprox(opt, len(counts), cutover))
+	return est, method.RebuildStats{}, err
 }
 
 // DefaultApproxCutover is the domain size at and above which engine and

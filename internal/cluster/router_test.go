@@ -10,13 +10,14 @@ import (
 	"rangeagg/internal/build"
 	"rangeagg/internal/dataset"
 	"rangeagg/internal/engine"
+	"rangeagg/internal/method"
 	"rangeagg/internal/serve"
 )
 
 func clusterSpecs() []engine.SynopsisSpec {
 	return []engine.SynopsisSpec{
-		{Name: "h", Metric: engine.Count, Options: build.Options{Method: build.EquiWidth, BudgetWords: 16}},
-		{Name: "s", Metric: engine.Sum, Options: build.Options{Method: build.SAP0, BudgetWords: 24}},
+		{Name: "h", Metric: engine.Count, Options: build.Options{Method: method.EquiWidth, BudgetWords: 16}},
+		{Name: "s", Metric: engine.Sum, Options: build.Options{Method: method.SAP0, BudgetWords: 24}},
 	}
 }
 

@@ -2,57 +2,11 @@ package engine
 
 import "rangeagg/internal/build"
 
-// dirtyWindow accumulates the value range mutated since a synopsis was
-// last built. Engines keep one per rebuild-capable synopsis (methods
-// with a registry Rebuild hook): point mutations widen the window,
-// bulk operations (Load, shard absorption) mark everything, and the
-// build path captures-and-resets the window under the same lock as the
-// counts snapshot, so a window always describes exactly the mutations
-// the snapshot contains.
-type dirtyWindow struct {
-	any, all bool
-	lo, hi   int
-}
-
-func (w *dirtyWindow) markValue(v int) {
-	if w.all {
-		return
-	}
-	if !w.any {
-		w.any, w.lo, w.hi = true, v, v
-		return
-	}
-	if v < w.lo {
-		w.lo = v
-	}
-	if v > w.hi {
-		w.hi = v
-	}
-}
-
-func (w *dirtyWindow) markAll() {
-	w.any, w.all = true, true
-}
-
-// merge widens w to cover o — the restore path when a build that
-// captured o fails and its mutations must stay pending.
-func (w *dirtyWindow) merge(o dirtyWindow) {
-	if !o.any {
-		return
-	}
-	if o.all {
-		w.markAll()
-		return
-	}
-	w.markValue(o.lo)
-	w.markValue(o.hi)
-}
-
 // markDirtyValue records a point mutation in every watched window.
 // Callers hold e.mu.
 func (e *Engine) markDirtyValue(v int) {
 	for _, w := range e.watch {
-		w.markValue(v)
+		w.MarkValue(v)
 	}
 }
 
@@ -60,16 +14,16 @@ func (e *Engine) markDirtyValue(v int) {
 // Callers hold e.mu.
 func (e *Engine) markDirtyAll() {
 	for _, w := range e.watch {
-		w.markAll()
+		w.MarkAll()
 	}
 }
 
 // resetWatch starts (or stops) dirty tracking for a freshly installed
-// synopsis: rebuild-capable and incrementally-maintained synopses get a
-// clean window, others drop any stale one. Callers hold e.mu.
+// synopsis: rebuild-capable synopses get a clean window, others drop
+// any stale one. Callers hold e.mu.
 func (e *Engine) resetWatch(name string, opt build.Options) {
-	if build.CanRebuild(opt) || e.maint[name] != nil {
-		e.watch[name] = &dirtyWindow{}
+	if build.CanRebuild(opt) {
+		e.watch[name] = &build.Window{}
 	} else {
 		delete(e.watch, name)
 	}

@@ -15,7 +15,6 @@ import (
 	"sync"
 
 	"rangeagg/internal/build"
-	"rangeagg/internal/ingest"
 	"rangeagg/internal/method"
 	"rangeagg/internal/obs"
 	"rangeagg/internal/parallel"
@@ -72,11 +71,12 @@ type Engine struct {
 	approxCutover int
 
 	synopses map[string]*Synopsis
-	// watch tracks the mutated value window per rebuild-capable synopsis.
-	watch map[string]*dirtyWindow
-	// maint holds the incremental-maintenance state of synopses opted in
-	// through EnableIngest, keyed like synopses/watch.
-	maint map[string]*ingest.State
+	// watch tracks the mutated value window per rebuild-capable synopsis:
+	// point mutations widen it, bulk operations (Replace, shard
+	// absorption) mark everything, and BuildSynopsis captures-and-resets
+	// it under the same lock as the counts snapshot, so a window always
+	// describes exactly the mutations the snapshot contains.
+	watch map[string]*build.Window
 }
 
 // Synopsis is a built summary registered under a name.
@@ -87,7 +87,7 @@ type Synopsis struct {
 	// Options used to build it.
 	Options build.Options
 	// Est is the underlying estimator.
-	Est build.Estimator
+	Est method.Estimator
 	// ErrModel bounds the estimator's per-range error against the data it
 	// was built from (nil when the method has no error model). Bounds
 	// refer to the data at Version; staleness widens them unaccounted.
@@ -107,8 +107,7 @@ func New(name string, domain int) (*Engine, error) {
 		domain:   domain,
 		counts:   make([]int64, domain),
 		synopses: make(map[string]*Synopsis),
-		watch:    make(map[string]*dirtyWindow),
-		maint:    make(map[string]*ingest.State),
+		watch:    make(map[string]*build.Window),
 	}, nil
 }
 
@@ -120,8 +119,8 @@ func (e *Engine) Load(counts []int64) error {
 		return fmt.Errorf("engine: load of %d values into domain %d", len(counts), e.domain)
 	}
 	// Track the span of loaded mass so the dirty windows stay precise: a
-	// load confined to a value window keeps partial rebuilds and
-	// incremental maintenance partial instead of going fully dirty.
+	// load confined to a value window keeps partial rebuilds partial
+	// instead of going fully dirty.
 	lo, hi := -1, -1
 	for v, c := range counts {
 		if c < 0 {
@@ -317,12 +316,11 @@ func (e *Engine) BuildSynopsis(name string, metric Metric, opt build.Options) (*
 	e.mu.Lock()
 	counts := e.metricCounts(metric)
 	version := e.version
-	eff := build.WithApprox(opt, e.domain, e.approxCutover)
+	cutover := e.approxCutover
 	prev := e.synopses[name]
-	st := e.maint[name]
-	var win dirtyWindow
-	captured := false
-	if !build.CanRebuild(opt) && st == nil {
+	var win build.Window
+	var base method.Estimator // prev.Est once win holds every mutation since prev was built
+	if !build.CanRebuild(opt) {
 		delete(e.watch, name)
 	} else {
 		// The window must exist before the unlocked build so concurrent
@@ -330,48 +328,24 @@ func (e *Engine) BuildSynopsis(name string, metric Metric, opt build.Options) (*
 		// installed by a path without tracking) starts fully dirty.
 		w := e.watch[name]
 		if w == nil {
-			w = &dirtyWindow{}
+			w = &build.Window{}
 			if prev != nil {
-				w.markAll()
+				w.MarkAll()
 			}
 			e.watch[name] = w
 		}
 		if prev != nil && prev.Metric == metric && prev.Options == opt {
-			win, *w = *w, dirtyWindow{}
-			captured = true
+			win, *w = *w, build.Window{}
+			base = prev.Est
 		}
 	}
 	e.mu.Unlock()
 
-	if captured && !win.any && prev.Version == version {
+	if base != nil && !win.Any && prev.Version == version {
 		// Nothing mutated since the previous build: it is already current.
 		return prev, nil
 	}
-	partial := captured && win.any && !win.all
-
-	var est build.Estimator
-	var err error
-	switch {
-	case partial && st != nil && ingest.CanMaintain(prev.Est):
-		// Incremental maintenance: absorb the confined window through the
-		// ingest ladder; only an escalation rebuilds.
-		var out ingest.Outcome
-		est, out, err = ingest.Maintain(counts, prev.Est, win.lo, win.hi, st)
-		if err == nil && out.Action == ingest.Escalate {
-			if build.CanRebuild(opt) {
-				est, _, err = build.Rebuild(counts, opt, prev.Est, win.lo, win.hi)
-			} else {
-				est, err = build.Build(counts, eff)
-			}
-			if err == nil {
-				st.Reset()
-			}
-		}
-	case partial && build.CanRebuild(opt):
-		est, _, err = build.Rebuild(counts, opt, prev.Est, win.lo, win.hi)
-	default:
-		est, err = build.Build(counts, eff)
-	}
+	est, _, err := build.Refresh(counts, opt, base, win, cutover)
 	if err == nil {
 		var em method.ErrorModel
 		if em, err = errModelFor(opt, counts, est); err == nil {
@@ -385,12 +359,12 @@ func (e *Engine) BuildSynopsis(name string, metric Metric, opt build.Options) (*
 	} else {
 		err = fmt.Errorf("engine: building synopsis %q: %w", name, err)
 	}
-	if captured {
+	if base != nil {
 		// The captured mutations were not absorbed into any synopsis; put
 		// them back so the next rebuild still covers them.
 		e.mu.Lock()
 		if w, ok := e.watch[name]; ok {
-			w.merge(win)
+			w.Merge(win)
 		}
 		e.mu.Unlock()
 	}
@@ -400,7 +374,7 @@ func (e *Engine) BuildSynopsis(name string, metric Metric, opt build.Options) (*
 // errModelFor builds the per-range error model of a freshly constructed
 // estimator when its method is error-bounded; counts must be the series
 // the estimator was built from.
-func errModelFor(opt build.Options, counts []int64, est build.Estimator) (method.ErrorModel, error) {
+func errModelFor(opt build.Options, counts []int64, est method.Estimator) (method.ErrorModel, error) {
 	d, err := method.Lookup(opt.Method)
 	if err != nil || !d.Caps.Has(method.ErrorBounded) {
 		return nil, nil
@@ -442,7 +416,7 @@ func (e *Engine) BuildSynopses(specs []SynopsisSpec) ([]*Synopsis, error) {
 	// Reset (or create) the dirty windows at the snapshot, so mutations
 	// landing during the unlocked builds are tracked for the next partial
 	// rebuild. The previous windows are kept aside to restore on failure.
-	prevWins := make(map[string]dirtyWindow)
+	prevWins := make(map[string]build.Window)
 	for _, sp := range specs {
 		if _, ok := countsByMetric[sp.Metric]; !ok {
 			countsByMetric[sp.Metric] = e.metricCounts(sp.Metric)
@@ -459,7 +433,7 @@ func (e *Engine) BuildSynopses(specs []SynopsisSpec) ([]*Synopsis, error) {
 		defer e.mu.Unlock()
 		for name, win := range prevWins {
 			if w, ok := e.watch[name]; ok {
-				w.merge(win)
+				w.Merge(win)
 			}
 		}
 	}
@@ -528,7 +502,7 @@ func (e *Engine) MergeFrom(other *Engine, name string) (*Synopsis, error) {
 // method — and, when present, the local synopsis's method — must have
 // the Mergeable capability. The durability layer logs exactly these
 // arguments, so replaying the record reproduces the absorption.
-func (e *Engine) AbsorbShard(name string, shardCounts []int64, metric Metric, opts build.Options, est build.Estimator) (*Synopsis, error) {
+func (e *Engine) AbsorbShard(name string, shardCounts []int64, metric Metric, opts build.Options, est method.Estimator) (*Synopsis, error) {
 	_, span := obs.Start(context.Background(), "engine.absorb_shard")
 	span.SetAttr("synopsis", name)
 	defer span.End()
@@ -598,7 +572,7 @@ func (e *Engine) AbsorbShard(name string, shardCounts []int64, metric Metric, op
 // recovery path's way to restore checkpointed synopses bit-identically
 // instead of rebuilding them; the estimator must span the engine's
 // domain.
-func (e *Engine) InstallSynopsis(name string, metric Metric, opts build.Options, est build.Estimator) *Synopsis {
+func (e *Engine) InstallSynopsis(name string, metric Metric, opts build.Options, est method.Estimator) *Synopsis {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	// Recovered estimators get their error model rebuilt against the
@@ -610,7 +584,7 @@ func (e *Engine) InstallSynopsis(name string, metric Metric, opts build.Options,
 	// rebuild is always a full one.
 	e.resetWatch(name, opts)
 	if w, ok := e.watch[name]; ok {
-		w.markAll()
+		w.MarkAll()
 	}
 	return s
 }
@@ -622,7 +596,6 @@ func (e *Engine) DropSynopsis(name string) bool {
 	_, ok := e.synopses[name]
 	delete(e.synopses, name)
 	delete(e.watch, name)
-	delete(e.maint, name)
 	return ok
 }
 
@@ -670,9 +643,24 @@ func (e *Engine) SetAutoRefresh(threshold int64) {
 // auto-refresh maintenance policy if enabled. The range is clamped; a
 // fully-outside range returns 0.
 func (e *Engine) Approx(name string, a, b int) (float64, error) {
-	s, err := e.Synopsis(name)
+	s, err := e.answering(name)
 	if err != nil {
 		return 0, err
+	}
+	a, b, ok := clamp(a, b, e.domain)
+	if !ok {
+		return 0, nil
+	}
+	return s.Est.Estimate(a, b), nil
+}
+
+// answering returns the synopsis that answers queries on name: the
+// registered one, rebuilt first from current data when the auto-refresh
+// policy finds it more than the threshold mutations stale.
+func (e *Engine) answering(name string) (*Synopsis, error) {
+	s, err := e.Synopsis(name)
+	if err != nil {
+		return nil, err
 	}
 	e.mu.RLock()
 	threshold := e.autoRefresh
@@ -682,15 +670,10 @@ func (e *Engine) Approx(name string, a, b int) (float64, error) {
 		// Rebuild from current data; a concurrent refresh of the same
 		// synopsis is harmless (last build wins, both are fresh).
 		if s, err = e.BuildSynopsis(s.Name, s.Metric, s.Options); err != nil {
-			return 0, fmt.Errorf("engine: auto-refresh of %q: %w", name, err)
+			return nil, fmt.Errorf("engine: auto-refresh of %q: %w", name, err)
 		}
 	}
-	a, b, ok := clamp(a, b, e.domain)
-	if !ok {
-		return 0, nil
-	}
-	e.observeQuery(name, a, b)
-	return s.Est.Estimate(a, b), nil
+	return s, nil
 }
 
 // ApproxAnswer is an approximate answer together with its error
@@ -707,24 +690,14 @@ type ApproxAnswer struct {
 // synopsis's per-range error bound. A fully-outside range returns the
 // exact answer 0 with a zero bound.
 func (e *Engine) ApproxWithError(name string, a, b int) (ApproxAnswer, error) {
-	s, err := e.Synopsis(name)
+	s, err := e.answering(name)
 	if err != nil {
 		return ApproxAnswer{}, err
-	}
-	e.mu.RLock()
-	threshold := e.autoRefresh
-	stale := e.version - s.Version
-	e.mu.RUnlock()
-	if threshold > 0 && stale > threshold {
-		if s, err = e.BuildSynopsis(s.Name, s.Metric, s.Options); err != nil {
-			return ApproxAnswer{}, fmt.Errorf("engine: auto-refresh of %q: %w", name, err)
-		}
 	}
 	a, b, ok := clamp(a, b, e.domain)
 	if !ok {
 		return ApproxAnswer{Value: 0, ErrBound: 0, Rigorous: true}, nil
 	}
-	e.observeQuery(name, a, b)
 	ans := ApproxAnswer{Value: s.Est.Estimate(a, b), ErrBound: math.Inf(1)}
 	if s.ErrModel != nil {
 		ans.ErrBound = s.ErrModel.Bound(a, b)
@@ -739,30 +712,17 @@ func (e *Engine) ApproxWithError(name string, a, b int) (ApproxAnswer, error) {
 // answer comes from the same estimator, so the batch is internally
 // consistent even if a concurrent rebuild replaces the synopsis mid-way.
 func (e *Engine) ApproxBatch(name string, queries []sse.Range) ([]float64, error) {
-	s, err := e.Synopsis(name)
+	s, err := e.answering(name)
 	if err != nil {
 		return nil, err
 	}
-	e.mu.RLock()
-	threshold := e.autoRefresh
-	stale := e.version - s.Version
-	e.mu.RUnlock()
-	if threshold > 0 && stale > threshold {
-		if s, err = e.BuildSynopsis(s.Name, s.Metric, s.Options); err != nil {
-			return nil, fmt.Errorf("engine: auto-refresh of %q: %w", name, err)
-		}
-	}
 	est, domain := s.Est, e.domain
-	maintained := e.maintState(name)
 	out := make([]float64, len(queries))
 	parallel.ForEachChunk(len(queries), 64, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			a, b, ok := clamp(queries[i].A, queries[i].B, domain)
 			if !ok {
 				continue
-			}
-			if maintained != nil {
-				maintained.Observe(a, b)
 			}
 			out[i] = est.Estimate(a, b)
 		}

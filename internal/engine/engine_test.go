@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rangeagg/internal/build"
+	"rangeagg/internal/method"
 	"rangeagg/internal/obs"
 	"rangeagg/internal/sse"
 )
@@ -102,7 +103,7 @@ func TestInsertDelete(t *testing.T) {
 
 func TestSynopsisLifecycle(t *testing.T) {
 	e := newLoaded(t)
-	s, err := e.BuildSynopsis("main", Count, build.Options{Method: build.A0, BudgetWords: 8})
+	s, err := e.BuildSynopsis("main", Count, build.Options{Method: method.A0, BudgetWords: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestSumSynopsis(t *testing.T) {
 	e := newLoaded(t)
 	// A0 stores true bucket averages, so the full-domain SUM estimate is
 	// exact (the middle pieces of equation (1) are exact).
-	if _, err := e.BuildSynopsis("sums", Sum, build.Options{Method: build.A0, BudgetWords: 12}); err != nil {
+	if _, err := e.BuildSynopsis("sums", Sum, build.Options{Method: method.A0, BudgetWords: 12}); err != nil {
 		t.Fatal(err)
 	}
 	approx, err := e.Approx("sums", 0, 31)
@@ -162,7 +163,7 @@ func TestSumSynopsis(t *testing.T) {
 	}
 	// SAP answers are model-based even for the full range; just require a
 	// sane relative error.
-	if _, err := e.BuildSynopsis("sums-sap", Sum, build.Options{Method: build.SAP0, BudgetWords: 12}); err != nil {
+	if _, err := e.BuildSynopsis("sums-sap", Sum, build.Options{Method: method.SAP0, BudgetWords: 12}); err != nil {
 		t.Fatal(err)
 	}
 	sapApprox, err := e.Approx("sums-sap", 0, 31)
@@ -176,7 +177,7 @@ func TestSumSynopsis(t *testing.T) {
 
 func TestApproxClamping(t *testing.T) {
 	e := newLoaded(t)
-	if _, err := e.BuildSynopsis("m", Count, build.Options{Method: build.EquiWidth, BudgetWords: 8}); err != nil {
+	if _, err := e.BuildSynopsis("m", Count, build.Options{Method: method.EquiWidth, BudgetWords: 8}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := e.Approx("m", -10, 100)
@@ -193,7 +194,7 @@ func TestApproxClamping(t *testing.T) {
 
 func TestReportAndSSE(t *testing.T) {
 	e := newLoaded(t)
-	if _, err := e.BuildSynopsis("m", Count, build.Options{Method: build.SAP1, BudgetWords: 15}); err != nil {
+	if _, err := e.BuildSynopsis("m", Count, build.Options{Method: method.SAP1, BudgetWords: 15}); err != nil {
 		t.Fatal(err)
 	}
 	m, err := e.Report("m", sse.AllRanges(32))
@@ -214,7 +215,7 @@ func TestReportAndSSE(t *testing.T) {
 
 func TestConcurrentReadsAndWrites(t *testing.T) {
 	e := newLoaded(t)
-	if _, err := e.BuildSynopsis("m", Count, build.Options{Method: build.MaxDiff, BudgetWords: 10}); err != nil {
+	if _, err := e.BuildSynopsis("m", Count, build.Options{Method: method.MaxDiff, BudgetWords: 10}); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -244,7 +245,7 @@ func TestConcurrentReadsAndWrites(t *testing.T) {
 
 func TestAutoRefresh(t *testing.T) {
 	e := newLoaded(t)
-	if _, err := e.BuildSynopsis("m", Count, build.Options{Method: build.A0, BudgetWords: 16}); err != nil {
+	if _, err := e.BuildSynopsis("m", Count, build.Options{Method: method.A0, BudgetWords: 16}); err != nil {
 		t.Fatal(err)
 	}
 	e.SetAutoRefresh(5)
@@ -288,7 +289,7 @@ func TestAutoRefresh(t *testing.T) {
 
 func TestProgressive(t *testing.T) {
 	e := newLoaded(t)
-	if _, err := e.BuildSynopsis("m", Count, build.Options{Method: build.EquiWidth, BudgetWords: 6}); err != nil {
+	if _, err := e.BuildSynopsis("m", Count, build.Options{Method: method.EquiWidth, BudgetWords: 6}); err != nil {
 		t.Fatal(err)
 	}
 	steps, err := e.Progressive("m", 3, 28, 5)
@@ -333,9 +334,9 @@ func TestProgressive(t *testing.T) {
 func TestBuildSynopsesBatch(t *testing.T) {
 	e := newLoaded(t)
 	specs := []SynopsisSpec{
-		{Name: "a0", Metric: Count, Options: build.Options{Method: build.A0, BudgetWords: 12}},
-		{Name: "sap0", Metric: Count, Options: build.Options{Method: build.SAP0, BudgetWords: 12}},
-		{Name: "sums", Metric: Sum, Options: build.Options{Method: build.EquiDepth, BudgetWords: 10}},
+		{Name: "a0", Metric: Count, Options: build.Options{Method: method.A0, BudgetWords: 12}},
+		{Name: "sap0", Metric: Count, Options: build.Options{Method: method.SAP0, BudgetWords: 12}},
+		{Name: "sums", Metric: Sum, Options: build.Options{Method: method.EquiDepth, BudgetWords: 10}},
 	}
 	out, err := e.BuildSynopses(specs)
 	if err != nil {
@@ -369,8 +370,8 @@ func TestBuildSynopsesBatch(t *testing.T) {
 	}
 	// A failing spec aborts the whole batch without registering anything.
 	bad := []SynopsisSpec{
-		{Name: "ok", Metric: Count, Options: build.Options{Method: build.A0, BudgetWords: 12}},
-		{Name: "boom", Metric: Count, Options: build.Options{Method: build.A0}}, // zero budget
+		{Name: "ok", Metric: Count, Options: build.Options{Method: method.A0, BudgetWords: 12}},
+		{Name: "boom", Metric: Count, Options: build.Options{Method: method.A0}}, // zero budget
 	}
 	if _, err := e.BuildSynopses(bad); err == nil {
 		t.Fatal("invalid batch accepted")
@@ -380,8 +381,8 @@ func TestBuildSynopsesBatch(t *testing.T) {
 	}
 	// Duplicate names are rejected up front.
 	dup := []SynopsisSpec{
-		{Name: "x", Metric: Count, Options: build.Options{Method: build.Naive}},
-		{Name: "x", Metric: Count, Options: build.Options{Method: build.Naive}},
+		{Name: "x", Metric: Count, Options: build.Options{Method: method.Naive}},
+		{Name: "x", Metric: Count, Options: build.Options{Method: method.Naive}},
 	}
 	if _, err := e.BuildSynopses(dup); err == nil {
 		t.Error("duplicate names accepted")
@@ -398,7 +399,7 @@ func TestBuildSynopsesSpan(t *testing.T) {
 	e := newLoaded(t)
 	before := obs.DefaultTracer.Recorded()
 	specs := []SynopsisSpec{
-		{Name: "traced", Metric: Count, Options: build.Options{Method: build.A0, BudgetWords: 12}},
+		{Name: "traced", Metric: Count, Options: build.Options{Method: method.A0, BudgetWords: 12}},
 	}
 	if _, err := e.BuildSynopses(specs); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rangeagg/internal/build"
+	"rangeagg/internal/method"
 )
 
 // FuzzEngineQuery drives an engine through arbitrary interleavings of
@@ -38,7 +39,7 @@ func FuzzEngineQuery(f *testing.F) {
 			pos++
 			return int(b)
 		}
-		methods := []build.Method{build.Naive, build.EquiWidth, build.SAP0, build.A0}
+		methods := []method.ID{method.Naive, method.EquiWidth, method.SAP0, method.A0}
 		built := false
 		for pos < len(data) {
 			switch next() % 10 {

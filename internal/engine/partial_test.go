@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"rangeagg/internal/build"
+	"rangeagg/internal/method"
 	"rangeagg/internal/segment"
 )
 
@@ -30,7 +32,7 @@ func newSegEngine(t *testing.T, n int) *Engine {
 // segment's histogram over by pointer.
 func TestSegmentedPartialRebuild(t *testing.T) {
 	e := newSegEngine(t, 512)
-	opt := build.Options{Method: build.Segmented, BudgetWords: 40, Segments: 8}
+	opt := build.Options{Method: method.Segmented, BudgetWords: 40, Segments: 8}
 	prev, err := e.BuildSynopsis("s", Count, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +73,7 @@ func TestSegmentedPartialRebuild(t *testing.T) {
 // unchanged spec on unchanged data returns the existing synopsis.
 func TestSegmentedSynopsisReuse(t *testing.T) {
 	e := newSegEngine(t, 256)
-	opt := build.Options{Method: build.Segmented, BudgetWords: 30, Segments: 4}
+	opt := build.Options{Method: method.Segmented, BudgetWords: 30, Segments: 4}
 	first, err := e.BuildSynopsis("s", Count, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +112,7 @@ func TestApproxCutoverSubstitution(t *testing.T) {
 		t.Fatalf("DefaultApproxCutover = %d, want 32768", build.DefaultApproxCutover)
 	}
 	e := newSegEngine(t, 64)
-	opt := build.Options{Method: build.A0, BudgetWords: 12}
+	opt := build.Options{Method: method.A0, BudgetWords: 12}
 
 	// Domain 64 is under any sensible default; the exact DP builds.
 	s, err := e.BuildSynopsis("exact", Count, opt)
@@ -131,7 +133,7 @@ func TestApproxCutoverSubstitution(t *testing.T) {
 	if !strings.Contains(s.Est.Name(), "A0-APPROX") {
 		t.Errorf("domain over cutover built %q, want the approximate construction", s.Est.Name())
 	}
-	if s.Options.Method != build.A0 {
+	if s.Options.Method != method.A0 {
 		t.Errorf("registered method changed to %v; substitution must not leak into options", s.Options.Method)
 	}
 
@@ -143,5 +145,64 @@ func TestApproxCutoverSubstitution(t *testing.T) {
 	}
 	if strings.Contains(s.Est.Name(), "APPROX") {
 		t.Errorf("disabled cutover still built %q", s.Est.Name())
+	}
+}
+
+// TestLoadMarksPreciseWindow pins the precise bulk-load window: a Load
+// whose non-zero mass is confined to a narrow value window must leave
+// the dirty window partial, so the next build of a SEGMENTED synopsis
+// reconstructs only the segments under the loaded mass and carries
+// every other segment over by pointer; an all-zero load mutates nothing
+// and keeps the synopsis current.
+func TestLoadMarksPreciseWindow(t *testing.T) {
+	const n = 256
+	e := newSegEngine(t, n)
+	opt := build.Options{Method: method.Segmented, BudgetWords: 40, Segments: 8}
+	prev, err := e.BuildSynopsis("s", Count, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Additional mass confined to [30,45]: marking the whole domain dirty
+	// would rebuild every segment.
+	batch := make([]int64, n)
+	for v := 30; v <= 45; v++ {
+		batch[v] = 100
+	}
+	if err := e.Load(batch); err != nil {
+		t.Fatal(err)
+	}
+	syn, err := e.BuildSynopsis("s", Count, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, ns := prev.Est.(*segment.Segmented), syn.Est.(*segment.Segmented)
+	first, last := ps.Find(30), ps.Find(45)
+	if last-first+1 == len(ps.Segs) {
+		t.Fatalf("window [30,45] spans all %d segments; the test needs untouched ones", len(ps.Segs))
+	}
+	for i := range ns.Segs {
+		touched := i >= first && i <= last
+		if touched && ns.Segs[i] == ps.Segs[i] {
+			t.Errorf("segment %d under the loaded mass was not rebuilt", i)
+		}
+		if !touched && ns.Segs[i] != ps.Segs[i] {
+			t.Errorf("segment %d outside the loaded mass was rebuilt instead of reused", i)
+		}
+	}
+	if got, want := syn.Est.Estimate(0, n-1), float64(e.ExactCount(0, n-1)); math.Abs(got-want) > 1e-6*want {
+		t.Fatalf("partial rebuild lost loaded mass: total %g, exact %g", got, want)
+	}
+
+	// An all-zero load mutates nothing and must not dirty the window.
+	if err := e.Load(make([]int64, n)); err != nil {
+		t.Fatal(err)
+	}
+	again, err := e.BuildSynopsis("s", Count, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != syn {
+		t.Fatal("no-op load invalidated the synopsis")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rangeagg/internal/build"
+	"rangeagg/internal/method"
 )
 
 func TestStoreColumnLifecycle(t *testing.T) {
@@ -56,10 +57,10 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	if err := amount.Load(counts); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := amount.BuildSynopsis("h", Count, build.Options{Method: build.A0, BudgetWords: 12, Seed: 1}); err != nil {
+	if _, err := amount.BuildSynopsis("h", Count, build.Options{Method: method.A0, BudgetWords: 12, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := amount.BuildSynopsis("s", Sum, build.Options{Method: build.SAP0, BudgetWords: 12, Seed: 1}); err != nil {
+	if _, err := amount.BuildSynopsis("s", Sum, build.Options{Method: method.SAP0, BudgetWords: 12, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	age, err := s.CreateColumn("age", 8)

@@ -116,7 +116,7 @@ func formatVal(v float64) string {
 // is integral — while SAP0, SAP1 and the wavelets answer with real
 // values ("in contrast with OPT-A, the above value is not necessarily an
 // integer", §2.2.1).
-func roundingFor(m build.Method) histogram.Rounding {
+func roundingFor(m method.ID) histogram.Rounding {
 	return method.MustLookup(m).PaperRounding
 }
 
@@ -157,9 +157,9 @@ func Fig1(cfg Config) (*Table, error) {
 	}
 	counts := cfg.Data.Counts
 	tab := prefix.NewTable(counts)
-	methods := []build.Method{
-		build.Naive, build.PointOpt, build.A0, build.SAP0, build.SAP1,
-		build.OptA, build.WaveTopBB, build.WaveRangeOpt, build.WaveAA2D,
+	methods := []method.ID{
+		method.Naive, method.PointOpt, method.A0, method.SAP0, method.SAP1,
+		method.OptA, method.WaveTopBB, method.WaveRangeOpt, method.WaveAA2D,
 	}
 	t := &Table{
 		ID:    "E1",
@@ -173,7 +173,7 @@ func Fig1(cfg Config) (*Table, error) {
 	err = forEachIndexed(len(vals), func(idx int) error {
 		m, w := methods[idx/nb], cfg.Budgets[idx%nb]
 		opt := build.Options{Method: m, BudgetWords: w, Seed: cfg.Seed, MaxStates: cfg.MaxStates}
-		if m == build.Naive {
+		if m == method.Naive {
 			opt = build.Options{Method: m}
 		}
 		v, err := buildAndScore(counts, tab, opt)
@@ -201,7 +201,7 @@ func Fig1(cfg Config) (*Table, error) {
 func PointOptRatio(cfg Config) (*Table, error) {
 	return ratioTable(cfg, "E2",
 		"SSE(POINT-OPT) / SSE(OPT-A) per storage budget",
-		build.PointOpt, build.OptA,
+		method.PointOpt, method.OptA,
 		"paper: max ratio up to 8, mean ratio > 3")
 }
 
@@ -210,11 +210,11 @@ func PointOptRatio(cfg Config) (*Table, error) {
 func Sap1Ratio(cfg Config) (*Table, error) {
 	return ratioTable(cfg, "E3",
 		"SSE(SAP1) / SSE(OPT-A) per storage budget",
-		build.SAP1, build.OptA,
+		method.SAP1, method.OptA,
 		"paper: ratio between 2 and 4 (more buckets beat richer per-bucket statistics)")
 }
 
-func ratioTable(cfg Config, id, title string, num, den build.Method, note string) (*Table, error) {
+func ratioTable(cfg Config, id, title string, num, den method.ID, note string) (*Table, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -278,7 +278,7 @@ func Sap0Rank(cfg Config) (*Table, error) {
 	}
 	counts := cfg.Data.Counts
 	tab := prefix.NewTable(counts)
-	methods := []build.Method{build.SAP0, build.A0, build.SAP1, build.SAP2, build.OptA}
+	methods := []method.ID{method.SAP0, method.A0, method.SAP1, method.SAP2, method.OptA}
 	t := &Table{ID: "E4", Title: "SAP0 vs other range-aware histograms (SSE at equal words)"}
 	nb := len(cfg.Budgets)
 	flat := make([]float64, len(methods)*nb)
@@ -294,7 +294,7 @@ func Sap0Rank(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	vals := make(map[build.Method][]float64)
+	vals := make(map[method.ID][]float64)
 	for _, w := range cfg.Budgets {
 		t.Columns = append(t.Columns, fmt.Sprintf("w=%d", w))
 	}
@@ -308,7 +308,7 @@ func Sap0Rank(cfg Config) (*Table, error) {
 	for i, w := range cfg.Budgets {
 		worst := true
 		for _, m := range methods[1:] {
-			if vals[build.SAP0][i] < vals[m][i] {
+			if vals[method.SAP0][i] < vals[m][i] {
 				worst = false
 				break
 			}
@@ -334,7 +334,7 @@ func ReoptGain(cfg Config) (*Table, error) {
 	}
 	counts := cfg.Data.Counts
 	tab := prefix.NewTable(counts)
-	methods := []build.Method{build.OptA, build.A0, build.EquiWidth, build.PointOpt}
+	methods := []method.ID{method.OptA, method.A0, method.EquiWidth, method.PointOpt}
 	t := &Table{ID: "E5", Title: "A-reopt: SSE improvement from re-optimized bucket values (%)"}
 	for _, w := range cfg.Budgets {
 		t.Columns = append(t.Columns, fmt.Sprintf("w=%d", w))
@@ -383,7 +383,7 @@ func WaveletStudy(cfg Config) (*Table, error) {
 	}
 	counts := cfg.Data.Counts
 	tab := prefix.NewTable(counts)
-	methods := []build.Method{build.WaveTopBB, build.WaveRangeOpt, build.WaveAA2D, build.A0}
+	methods := []method.ID{method.WaveTopBB, method.WaveRangeOpt, method.WaveAA2D, method.A0}
 	t := &Table{ID: "E6", Title: "Wavelet selections vs A0 histogram (SSE at equal words)"}
 	for _, w := range cfg.Budgets {
 		t.Columns = append(t.Columns, fmt.Sprintf("w=%d", w))
@@ -425,7 +425,7 @@ func RoundedSweep(cfg Config, budgetWords int, xs []int64) (*Table, error) {
 	}
 	counts := cfg.Data.Counts
 	tab := prefix.NewTable(counts)
-	units := (build.Options{Method: build.OptA, BudgetWords: budgetWords}).Units()
+	units := (build.Options{Method: method.OptA, BudgetWords: budgetWords}).Units()
 
 	exact, err := core.OptAAuto(tab, units, cfg.Seed, core.Config{MaxStates: cfg.MaxStates})
 	if err != nil {
@@ -508,7 +508,7 @@ func PrefixStudy(cfg Config) (*Table, error) {
 	for _, label := range order {
 		rows[label] = &Row{Label: label}
 	}
-	methods := []build.Method{build.PrefixOpt, build.OptA}
+	methods := []method.ID{method.PrefixOpt, method.OptA}
 	nb := len(cfg.Budgets)
 	prefixSSE := make([]float64, len(methods)*nb)
 	rangeSSE := make([]float64, len(methods)*nb)
@@ -603,11 +603,11 @@ func TwoDim(cfg Config, rows, cols int) (*Table, error) {
 		{"TOPBB-2D", func(w int) (grid.Estimator2D, error) { return grid.NewWave2D(g, maxInt(1, w/2)) }},
 		{"AVI", func(w int) (grid.Estimator2D, error) {
 			half := maxInt(2, (w-1)/2)
-			rowSyn, err := build.Build(grid.RowMarginal(g), build.Options{Method: build.A0, BudgetWords: half})
+			rowSyn, err := build.Build(grid.RowMarginal(g), build.Options{Method: method.A0, BudgetWords: half})
 			if err != nil {
 				return nil, err
 			}
-			colSyn, err := build.Build(grid.ColMarginal(g), build.Options{Method: build.A0, BudgetWords: half})
+			colSyn, err := build.Build(grid.ColMarginal(g), build.Options{Method: method.A0, BudgetWords: half})
 			if err != nil {
 				return nil, err
 			}
@@ -655,14 +655,14 @@ func HeuristicStudy(cfg Config) (*Table, error) {
 		label string
 		opt   build.Options
 	}{
-		{"EQUI-WIDTH", build.Options{Method: build.EquiWidth}},
-		{"EQUI-WIDTH-ls", build.Options{Method: build.EquiWidth, LocalSearch: true}},
-		{"EQUI-WIDTH-ls-re", build.Options{Method: build.EquiWidth, LocalSearch: true, Reopt: true}},
-		{"A0", build.Options{Method: build.A0}},
-		{"A0-ls", build.Options{Method: build.A0, LocalSearch: true}},
-		{"A0-ls-re", build.Options{Method: build.A0, LocalSearch: true, Reopt: true}},
-		{"OPT-A", build.Options{Method: build.OptA}},
-		{"OPT-A-re", build.Options{Method: build.OptA, Reopt: true}},
+		{"EQUI-WIDTH", build.Options{Method: method.EquiWidth}},
+		{"EQUI-WIDTH-ls", build.Options{Method: method.EquiWidth, LocalSearch: true}},
+		{"EQUI-WIDTH-ls-re", build.Options{Method: method.EquiWidth, LocalSearch: true, Reopt: true}},
+		{"A0", build.Options{Method: method.A0}},
+		{"A0-ls", build.Options{Method: method.A0, LocalSearch: true}},
+		{"A0-ls-re", build.Options{Method: method.A0, LocalSearch: true, Reopt: true}},
+		{"OPT-A", build.Options{Method: method.OptA}},
+		{"OPT-A-re", build.Options{Method: method.OptA, Reopt: true}},
 	}
 	t := &Table{ID: "E11", Title: "Heuristics + local search + reopt vs the exact optimum (unrounded SSE)"}
 	for _, w := range cfg.Budgets {

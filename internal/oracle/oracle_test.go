@@ -8,6 +8,7 @@ import (
 	"rangeagg/internal/build"
 	"rangeagg/internal/dataset"
 	"rangeagg/internal/engine"
+	"rangeagg/internal/method"
 	"rangeagg/internal/oracle"
 	"rangeagg/internal/prefix"
 	"rangeagg/internal/serve"
@@ -46,14 +47,14 @@ func datasets(t *testing.T, n int) map[string][]int64 {
 // the issue: the paper's histograms and both wavelet domains.
 func families() map[string]build.Options {
 	return map[string]build.Options{
-		"OPT-A":     {Method: build.OptA, BudgetWords: 16, Seed: 1},
-		"SAP0":      {Method: build.SAP0, BudgetWords: 18},
-		"SAP1":      {Method: build.SAP1, BudgetWords: 20},
-		"SAP2":      {Method: build.SAP2, BudgetWords: 28},
-		"A0":        {Method: build.A0, BudgetWords: 16},
-		"POINT-OPT": {Method: build.PointOpt, BudgetWords: 16},
-		"TOPBB":     {Method: build.WaveTopBB, BudgetWords: 16},
-		"RANGEOPT":  {Method: build.WaveRangeOpt, BudgetWords: 16},
+		"OPT-A":     {Method: method.OptA, BudgetWords: 16, Seed: 1},
+		"SAP0":      {Method: method.SAP0, BudgetWords: 18},
+		"SAP1":      {Method: method.SAP1, BudgetWords: 20},
+		"SAP2":      {Method: method.SAP2, BudgetWords: 28},
+		"A0":        {Method: method.A0, BudgetWords: 16},
+		"POINT-OPT": {Method: method.PointOpt, BudgetWords: 16},
+		"TOPBB":     {Method: method.WaveTopBB, BudgetWords: 16},
+		"RANGEOPT":  {Method: method.WaveRangeOpt, BudgetWords: 16},
 	}
 }
 
@@ -121,7 +122,7 @@ func TestServingSnapshotMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		specs := []engine.SynopsisSpec{
-			{Name: "h", Metric: engine.Count, Options: build.Options{Method: build.SAP0, BudgetWords: 18}},
+			{Name: "h", Metric: engine.Count, Options: build.Options{Method: method.SAP0, BudgetWords: 18}},
 		}
 		srv, err := serve.New(eng, specs, serve.Config{FanOut: 4})
 		if err != nil {
@@ -181,7 +182,7 @@ func TestEngineApproxBatchMatchesSingles(t *testing.T) {
 	if err := eng.Load(counts); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.BuildSynopsis("h", engine.Count, build.Options{Method: build.SAP1, BudgetWords: 20}); err != nil {
+	if _, err := eng.BuildSynopsis("h", engine.Count, build.Options{Method: method.SAP1, BudgetWords: 20}); err != nil {
 		t.Fatal(err)
 	}
 	qs := sse.RandomRanges(n, 200, 3)
@@ -219,12 +220,12 @@ func TestApproxSSEWithinEpsilonOfExact(t *testing.T) {
 	}
 	pairs := []struct {
 		name          string
-		exact, approx build.Method
+		exact, approx method.ID
 		budget        int
 	}{
-		{"SAP0", build.SAP0, build.SAP0Approx, 24},
-		{"A0", build.A0, build.A0Approx, 16},
-		{"POINT-OPT", build.PointOpt, build.PointOptApprox, 16},
+		{"SAP0", method.SAP0, method.SAP0Approx, 24},
+		{"A0", method.A0, method.A0Approx, 16},
+		{"POINT-OPT", method.PointOpt, method.PointOptApprox, 16},
 	}
 	for _, n := range sizes {
 		for dname, counts := range datasets(t, n) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rangeagg/internal/build"
+	"rangeagg/internal/method"
 	"rangeagg/internal/prefix"
 	"rangeagg/internal/segment"
 )
@@ -40,7 +41,7 @@ func TestSegmentedMatchesComposition(t *testing.T) {
 	for dname, counts := range datasets(t, n) {
 		for _, policy := range []string{"equi-width", "weight-balanced"} {
 			for _, k := range []int{2, 4, 8} {
-				opt := build.Options{Method: build.Segmented, BudgetWords: w,
+				opt := build.Options{Method: method.Segmented, BudgetWords: w,
 					Segments: k, SegmentPolicy: policy}
 				est, err := build.Build(counts, opt)
 				if err != nil {
@@ -78,7 +79,7 @@ func TestSegmentedAllocatorSanity(t *testing.T) {
 		}
 		prev := make([]int, len(starts))
 		for _, w := range []int{16, 24, 40, 64} {
-			est, err := build.Build(counts, build.Options{Method: build.Segmented,
+			est, err := build.Build(counts, build.Options{Method: method.Segmented,
 				BudgetWords: w, Segments: k})
 			if err != nil {
 				t.Fatalf("%s/W=%d: %v", dname, w, err)
@@ -115,7 +116,7 @@ func TestSegmentedBoundCoversError(t *testing.T) {
 	for dname, counts := range datasets(t, n) {
 		tab := prefix.NewTable(counts)
 		for _, policy := range []string{"equi-width", "weight-balanced"} {
-			est, err := build.Build(counts, build.Options{Method: build.Segmented,
+			est, err := build.Build(counts, build.Options{Method: method.Segmented,
 				BudgetWords: w, Segments: 4, SegmentPolicy: policy})
 			if err != nil {
 				t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"rangeagg/internal/build"
 	"rangeagg/internal/codec"
 	"rangeagg/internal/engine"
+	"rangeagg/internal/method"
 	"rangeagg/internal/wal"
 )
 
@@ -200,7 +201,7 @@ func TestHandlerSynopsisMerge(t *testing.T) {
 	for i := range shardCounts {
 		shardCounts[i] = int64(25 + i%4)
 	}
-	shard, err := build.Build(shardCounts, build.Options{Method: build.EquiDepth, BudgetWords: 16})
+	shard, err := build.Build(shardCounts, build.Options{Method: method.EquiDepth, BudgetWords: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestHandlerDurabilityMetrics(t *testing.T) {
 	for i := range shardCounts {
 		shardCounts[i] = int64(1 + i%3)
 	}
-	shard, err := build.Build(shardCounts, build.Options{Method: build.EquiWidth, BudgetWords: 16})
+	shard, err := build.Build(shardCounts, build.Options{Method: method.EquiWidth, BudgetWords: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,13 +2,18 @@ package serve
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
 	"rangeagg/internal/build"
 	"rangeagg/internal/engine"
+	"rangeagg/internal/histogram"
 	"rangeagg/internal/ingest"
+	"rangeagg/internal/method"
 	"rangeagg/internal/plan"
+	"rangeagg/internal/prefix"
+	"rangeagg/internal/segment"
 )
 
 func incrementalCfg() Config {
@@ -32,8 +37,8 @@ func newIngestServer(t *testing.T, domain int, cfg Config) (*engine.Engine, *Ser
 		t.Fatal(err)
 	}
 	specs := []engine.SynopsisSpec{
-		{Name: "flat", Metric: engine.Count, Options: build.Options{Method: build.A0, BudgetWords: 24}},
-		{Name: "seg", Metric: engine.Count, Options: build.Options{Method: build.Segmented, BudgetWords: 48, Segments: 4}},
+		{Name: "flat", Metric: engine.Count, Options: build.Options{Method: method.A0, BudgetWords: 24}},
+		{Name: "seg", Metric: engine.Count, Options: build.Options{Method: method.Segmented, BudgetWords: 48, Segments: 4}},
 	}
 	s, err := New(eng, specs, cfg)
 	if err != nil {
@@ -186,6 +191,8 @@ func TestServeEscalationRebuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	mag := int64(1 << 8)
+	var prior IngestStats
+	escalated, resumed := false, false
 	for batch := 0; batch < 30; batch++ {
 		if err := s.Insert((batch*53)%256, mag); err != nil {
 			t.Fatal(err)
@@ -194,6 +201,14 @@ func TestServeEscalationRebuilds(t *testing.T) {
 		if err := s.Rebuild(); err != nil {
 			t.Fatalf("batch %d: %v", batch, err)
 		}
+		// Maintenance resumes after an escalation: some later publish
+		// absorbs the confined batch into both synopses again.
+		st := s.IngestStats()
+		if escalated && st.Absorbed-prior.Absorbed == 2 {
+			resumed = true
+		}
+		escalated = escalated || st.Escalated > 0
+		prior = st
 		snap := s.Snapshot()
 		syn, err := snap.Synopsis("seg")
 		if err != nil {
@@ -215,6 +230,9 @@ func TestServeEscalationRebuilds(t *testing.T) {
 	if st.Absorbed+st.Reoptimized+st.Repaired != st.RebuildsAvoided {
 		t.Fatalf("avoided-rebuild accounting off: %+v", st)
 	}
+	if !resumed {
+		t.Fatalf("no confined batch was absorbed by both synopses after the first escalation: %+v", st)
+	}
 }
 
 // TestServeRebuildModeUnchanged pins that the default mode keeps the
@@ -232,5 +250,164 @@ func TestServeRebuildModeUnchanged(t *testing.T) {
 	}
 	if st := s.IngestStats(); st != (IngestStats{}) {
 		t.Fatalf("rebuild mode accrued ingest stats: %+v", st)
+	}
+}
+
+// TestServeFullRebuildResetsDrift pins the reset rule: a maintained
+// spec that is built rather than maintained (here: a full rebuild after
+// MarkDirty) restarts maintenance from the rebuilt synopsis. Otherwise
+// the next confined batch is measured against the drift baseline of the
+// synopsis before the rebuild — on 1000× the mass, a spurious trip that
+// moves boundaries for no drift at all.
+func TestServeFullRebuildResetsDrift(t *testing.T) {
+	cfg := Config{
+		Debounce: time.Hour,
+		Ingest:   ingest.Config{Mode: ingest.ModeIncremental, ReoptEvery: -1, DriftThreshold: 1.5},
+	}
+	eng, s := newIngestServer(t, 256, cfg)
+	// One maintained publish gives both synopses a drift baseline.
+	if err := s.Insert(100, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.IngestStats(); st.Absorbed != 2 {
+		t.Fatalf("first confined batch not absorbed: %+v", st)
+	}
+
+	// A direct engine load the server cannot locate: MarkDirty makes the
+	// next publish a full rebuild of both synopses.
+	mass := make([]int64, 256)
+	for i := range mass {
+		mass[i] = 1000 * int64(i%11+1)
+	}
+	if err := eng.Load(mass); err != nil {
+		t.Fatal(err)
+	}
+	s.MarkDirty()
+	if err := s.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+
+	// One record is no drift: the batch is absorbed against the rebuilt
+	// synopses' own baselines.
+	if err := s.Insert(20, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.IngestStats(); st.Absorbed != 4 || st.Repaired != 0 || st.Escalated != 0 {
+		t.Fatalf("confined batch after a full rebuild: %+v, want 4 absorbed, none repaired", st)
+	}
+}
+
+// TestServeIngestOracleDifferential pins maintained == rebuilt on the
+// production path: after every publish of random inserts and deletes,
+// each maintained synopsis (flat A0 and SEGMENTED) equals, bit for bit,
+// a from-scratch average histogram over the same boundaries — per
+// segment against the segment's own sub-table — and its rigorous error
+// bound covers the oracle residual on a grid of ranges. The untrippable
+// drift threshold and disabled reopt keep every batch on the absorb
+// rung, so boundaries never move.
+func TestServeIngestOracleDifferential(t *testing.T) {
+	const n = 128
+	eng, s := newIngestServer(t, n, incrementalCfg())
+	snap := s.Snapshot()
+	flat0, err := snap.Synopsis("flat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg0, err := snap.Synopsis("seg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flatBk := flat0.Est.(*histogram.Avg).Buckets
+	seg0Est := seg0.Est.(*segment.Segmented)
+
+	rng := rand.New(rand.NewSource(11))
+	const publishes = 25
+	for pub := 0; pub < publishes; pub++ {
+		for j := 0; j < 1+rng.Intn(6); j++ {
+			v := rng.Intn(n)
+			if rng.Intn(3) == 0 {
+				if cur := eng.Counts()[v]; cur > 0 {
+					if err := s.Delete(v, 1+rng.Int63n(cur)); err != nil {
+						t.Fatalf("delete: %v", err)
+					}
+				}
+			} else if err := s.Insert(v, 1+rng.Int63n(9)); err != nil {
+				t.Fatalf("insert: %v", err)
+			}
+		}
+		if err := s.Rebuild(); err != nil {
+			t.Fatalf("publish %d: %v", pub, err)
+		}
+		snap := s.Snapshot()
+		counts := eng.Counts()
+		tab := prefix.NewTable(counts)
+
+		flat, err := snap.Synopsis("flat")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := flat.Est.(*histogram.Avg)
+		if !got.Buckets.Equal(flatBk) {
+			t.Fatalf("publish %d: flat boundaries moved on the absorb rung", pub)
+		}
+		want, err := histogram.NewAvgFromBounds(tab, flatBk, histogram.RoundNone, "want")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Values {
+			if got.Values[i] != want.Values[i] {
+				t.Fatalf("publish %d flat bucket %d: maintained %v, from-scratch %v (bit-exact required)",
+					pub, i, got.Values[i], want.Values[i])
+			}
+		}
+
+		seg, err := snap.Synopsis("seg")
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs := seg.Est.(*segment.Segmented)
+		if len(gs.Segs) != len(seg0Est.Segs) {
+			t.Fatalf("publish %d: segment count %d, want %d", pub, len(gs.Segs), len(seg0Est.Segs))
+		}
+		for i, h := range gs.Segs {
+			if gs.Starts[i] != seg0Est.Starts[i] || !h.Buckets.Equal(seg0Est.Segs[i].Buckets) {
+				t.Fatalf("publish %d: segment %d layout moved on the absorb rung", pub, i)
+			}
+			lo, hi := gs.SegmentBounds(i)
+			want, err := histogram.NewAvgFromBounds(prefix.NewTable(counts[lo:hi+1]), h.Buckets, histogram.RoundNone, "want")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range want.Values {
+				if h.Values[k] != want.Values[k] {
+					t.Fatalf("publish %d segment %d bucket %d: maintained %v, from-scratch %v (bit-exact required)",
+						pub, i, k, h.Values[k], want.Values[k])
+				}
+			}
+		}
+
+		for _, syn := range []*Synopsis{flat, seg} {
+			if syn.ErrModel == nil || !syn.ErrModel.Rigorous() {
+				t.Fatalf("publish %d %s: maintained synopsis lost its rigorous error model", pub, syn.Name)
+			}
+			for a := 0; a < n; a += 7 {
+				for b := a; b < n; b += 13 {
+					resid := math.Abs(syn.Est.Estimate(a, b) - tab.SumF(a, b))
+					if bound := syn.ErrModel.Bound(a, b); resid > bound+1e-6 {
+						t.Fatalf("publish %d %s: residual %g exceeds bound %g on [%d,%d]",
+							pub, syn.Name, resid, bound, a, b)
+					}
+				}
+			}
+		}
+	}
+	if st := s.IngestStats(); st.Absorbed != 2*publishes || st.RebuildsAvoided != 2*publishes {
+		t.Fatalf("ingest stats = %+v, want every publish absorbed by both synopses", st)
 	}
 }

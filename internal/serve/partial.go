@@ -2,56 +2,10 @@ package serve
 
 import "time"
 
-// window accumulates the value range mutated since the last snapshot
-// rebuild captured it. The server keeps one global window (all specs
-// summarize the same column): ingest wrappers widen it, bulk paths and
-// the public MarkDirty mark everything, and Rebuild captures-and-resets
-// it before reading the engine — a mutation landing in between marks
-// the fresh window and is also in the counts just read, so the worst
-// case is an over-rebuild, never a stale reuse.
-type window struct {
-	any, all bool
-	lo, hi   int
-}
-
-func (w *window) markValue(v int) {
-	if w.all {
-		return
-	}
-	if !w.any {
-		w.any, w.lo, w.hi = true, v, v
-		return
-	}
-	if v < w.lo {
-		w.lo = v
-	}
-	if v > w.hi {
-		w.hi = v
-	}
-}
-
-func (w *window) markAll() {
-	w.any, w.all = true, true
-}
-
-// merge widens w to cover o — the restore path when a rebuild that
-// captured o fails and its mutations must stay pending.
-func (w *window) merge(o window) {
-	if !o.any {
-		return
-	}
-	if o.all {
-		w.markAll()
-		return
-	}
-	w.markValue(o.lo)
-	w.markValue(o.hi)
-}
-
 // markValue records a point mutation in the rebuild window.
 func (s *Server) markValue(v int) {
 	s.winMu.Lock()
-	s.win.markValue(v)
+	s.win.MarkValue(v)
 	s.stampDirtyLocked()
 	s.winMu.Unlock()
 }
@@ -60,8 +14,8 @@ func (s *Server) markValue(v int) {
 // [lo,hi] — the bulk-load path whose window is known.
 func (s *Server) markRange(lo, hi int) {
 	s.winMu.Lock()
-	s.win.markValue(lo)
-	s.win.markValue(hi)
+	s.win.MarkValue(lo)
+	s.win.MarkValue(hi)
 	s.stampDirtyLocked()
 	s.winMu.Unlock()
 }
@@ -69,7 +23,7 @@ func (s *Server) markRange(lo, hi int) {
 // markAll records a bulk (or unlocatable) mutation.
 func (s *Server) markAll() {
 	s.winMu.Lock()
-	s.win.markAll()
+	s.win.MarkAll()
 	s.stampDirtyLocked()
 	s.winMu.Unlock()
 }

@@ -8,6 +8,7 @@ import (
 
 	"rangeagg/internal/build"
 	"rangeagg/internal/engine"
+	"rangeagg/internal/method"
 	"rangeagg/internal/segment"
 )
 
@@ -26,7 +27,7 @@ func newSegServer(t *testing.T, domain int, cfg Config) (*engine.Engine, *Server
 	}
 	specs := []engine.SynopsisSpec{{
 		Name: "seg", Metric: engine.Count,
-		Options: build.Options{Method: build.Segmented, BudgetWords: 40, Segments: 8},
+		Options: build.Options{Method: method.Segmented, BudgetWords: 40, Segments: 8},
 	}}
 	s, err := New(eng, specs, cfg)
 	if err != nil {
@@ -138,7 +139,7 @@ func TestServeApproxCutover(t *testing.T) {
 	}
 	specs := []engine.SynopsisSpec{{
 		Name: "a", Metric: engine.Count,
-		Options: build.Options{Method: build.A0, BudgetWords: 12},
+		Options: build.Options{Method: method.A0, BudgetWords: 12},
 	}}
 	s, err := New(eng, specs, Config{Debounce: time.Hour, ApproxCutover: 32})
 	if err != nil {
@@ -152,7 +153,7 @@ func TestServeApproxCutover(t *testing.T) {
 	if !strings.Contains(syn.Est.Name(), "A0-APPROX") {
 		t.Errorf("domain over cutover built %q, want the approximate construction", syn.Est.Name())
 	}
-	if syn.Options.Method != build.A0 {
+	if syn.Options.Method != method.A0 {
 		t.Errorf("registered method changed to %v", syn.Options.Method)
 	}
 

@@ -14,6 +14,7 @@ import (
 
 	"rangeagg/internal/build"
 	"rangeagg/internal/engine"
+	"rangeagg/internal/method"
 	"rangeagg/internal/plan"
 )
 
@@ -89,7 +90,7 @@ func TestRebuildStormNoStaleAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := []engine.SynopsisSpec{
-		{Name: "n", Metric: engine.Count, Options: build.Options{Method: build.Naive, BudgetWords: 4}},
+		{Name: "n", Metric: engine.Count, Options: build.Options{Method: method.Naive, BudgetWords: 4}},
 	}
 	s, err := New(eng, specs, Config{})
 	if err != nil {

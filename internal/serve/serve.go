@@ -119,14 +119,15 @@ type Server struct {
 	// shards (MergeSynopsis). A rebuild folds them into the freshly built
 	// local synopsis, so shard contributions survive snapshot swaps.
 	shardMu sync.RWMutex
-	shards  map[string][]build.Estimator
+	shards  map[string][]method.Estimator
 
-	// winMu guards win, the mutated value window Rebuild's partial path
-	// consumes, and dirtyAt, the unix-nano timestamp of the oldest
+	// winMu guards win, the mutated value window Rebuild's partial and
+	// maintained paths consume (one for all specs: they summarize the
+	// same column), and dirtyAt, the unix-nano timestamp of the oldest
 	// mutation not yet reflected in the served snapshot (0 = none) —
 	// the /healthz staleness signal.
 	winMu   sync.Mutex
-	win     window
+	win     build.Window
 	dirtyAt int64
 
 	// swappedAt is when the served snapshot was published (unix nanos).
@@ -199,7 +200,7 @@ func New(eng *engine.Engine, specs []engine.SynopsisSpec, cfg Config) (*Server, 
 		eng:       eng,
 		cfg:       cfg.withDefaults(),
 		specs:     append([]engine.SynopsisSpec(nil), specs...),
-		shards:    make(map[string][]build.Estimator),
+		shards:    make(map[string][]method.Estimator),
 		ingStates: make(map[string]*ingest.State),
 		dirty:     make(chan struct{}, 1),
 		stop:      make(chan struct{}),
@@ -415,7 +416,7 @@ func (s *Server) DropSynopsis(name string) bool {
 // current snapshot before the shard is accepted). Note the shard's
 // records are known to this server only through its estimator: exact
 // (synopsis-less) queries keep answering from local data alone.
-func (s *Server) MergeSynopsis(name string, est build.Estimator) error {
+func (s *Server) MergeSynopsis(name string, est method.Estimator) error {
 	s.specMu.RLock()
 	var spec *engine.SynopsisSpec
 	for i := range s.specs {
@@ -458,15 +459,15 @@ func (s *Server) MergeSynopsis(name string, est build.Estimator) error {
 	return s.Rebuild()
 }
 
-// ingestState returns — creating on first use — the maintenance state
-// of a synopsis. Creation only happens on Rebuild's maintained path
-// (serialized by rebuildMu), so concurrent readers almost always stay
-// on the RLock.
-func (s *Server) ingestState(name string) *ingest.State {
+// ingestState returns the maintenance state of a synopsis, creating it
+// when create is set and there is none yet (nil otherwise). Creation
+// only happens on Rebuild's maintained path (serialized by rebuildMu),
+// so concurrent readers almost always stay on the RLock.
+func (s *Server) ingestState(name string, create bool) *ingest.State {
 	s.ingMu.RLock()
 	st := s.ingStates[name]
 	s.ingMu.RUnlock()
-	if st != nil {
+	if st != nil || !create {
 		return st
 	}
 	s.ingMu.Lock()
@@ -599,12 +600,12 @@ func (s *Server) Rebuild() error {
 	s.winMu.Lock()
 	win := s.win
 	dirtyAt := s.dirtyAt
-	s.win = window{}
+	s.win = build.Window{}
 	s.dirtyAt = 0
 	s.winMu.Unlock()
 	fail := func(err error) error {
 		s.winMu.Lock()
-		s.win.merge(win)
+		s.win.Merge(win)
 		// Restore the staleness clock: the captured mutations are still
 		// pending, so /healthz must keep aging them.
 		if dirtyAt != 0 && (s.dirtyAt == 0 || dirtyAt < s.dirtyAt) {
@@ -630,7 +631,7 @@ func (s *Server) Rebuild() error {
 	// the fold below, so a shard arriving mid-rebuild cannot fold into a
 	// reused estimator (its own Rebuild call is already queued).
 	s.shardMu.RLock()
-	shardsFor := make([][]build.Estimator, len(specs))
+	shardsFor := make([][]method.Estimator, len(specs))
 	for i, sp := range specs {
 		shardsFor[i] = s.shards[sp.Name]
 	}
@@ -642,7 +643,7 @@ func (s *Server) Rebuild() error {
 		Records: records,
 		syns:    make(map[string]*Synopsis, len(specs)),
 	}
-	ests := make([]build.Estimator, len(specs))
+	ests := make([]method.Estimator, len(specs))
 	ems := make([]method.ErrorModel, len(specs))
 	errs := make([]error, len(specs))
 	stats := make([]method.RebuildStats, len(specs))
@@ -660,46 +661,43 @@ func (s *Server) Rebuild() error {
 		}
 		sameSpec := prevSyn != nil && len(shardsFor[i]) == 0 &&
 			prevSyn.Metric == sp.Metric && prevSyn.Options == sp.Options
-		if sameSpec && !win.any && prev.Version == version {
+		if sameSpec && !win.Any && prev.Version == version {
 			// Nothing changed for this spec: carry estimator and error
 			// model into the new snapshot verbatim.
 			ests[i], ems[i], reused[i] = prevSyn.Est, prevSyn.ErrModel, true
 			s.synReused.Add(1)
 			continue
 		}
-		partial := sameSpec && win.any && !win.all && build.CanRebuild(sp.Options)
-		var st *ingest.State
-		if s.cfg.Ingest.Enabled() && sameSpec && win.any && !win.all && ingest.CanMaintain(prevSyn.Est) {
-			st = s.ingestState(sp.Name)
+		var base method.Estimator // what a partial rebuild or maintenance starts from
+		if sameSpec {
+			base = prevSyn.Est
 		}
+		maintain := s.cfg.Ingest.Enabled() && base != nil && win.Confined() && ingest.CanMaintain(base)
+		st := s.ingestState(sp.Name, maintain)
 		tasks = append(tasks, func() {
 			series := counts
 			if sp.Metric == engine.Sum {
 				series = sums
 			}
-			if st != nil {
+			if maintain {
 				// Incremental maintenance: absorb the confined window
 				// through the ingest ladder. Only an escalation (drift
 				// persisting past a boundary repair) falls through to the
-				// rebuild paths below, restarting maintenance from the
-				// rebuilt synopsis.
+				// rebuild below.
 				var out ingest.Outcome
-				ests[i], out, errs[i] = ingest.Maintain(series, prevSyn.Est, win.lo, win.hi, st)
+				ests[i], out, errs[i] = ingest.Maintain(series, base, win.Lo, win.Hi, st)
 				outcomes[i] = &out
 				if errs[i] != nil || out.Action != ingest.Escalate {
 					return
 				}
-				defer func() {
-					if errs[i] == nil {
-						st.Reset()
-					}
-				}()
 			}
-			if partial {
-				ests[i], stats[i], errs[i] = build.Rebuild(series, sp.Options, prevSyn.Est, win.lo, win.hi)
-				return
+			ests[i], stats[i], errs[i] = build.Refresh(series, sp.Options, base, win, s.cfg.ApproxCutover)
+			if errs[i] == nil && st != nil {
+				// Built, not maintained: the drift baseline and repair arm
+				// described the previous synopsis, so maintenance restarts
+				// from this one.
+				st.Reset()
 			}
-			ests[i], errs[i] = build.Build(series, build.WithApprox(sp.Options, len(counts), s.cfg.ApproxCutover))
 		})
 	}
 	parallel.Do(tasks...)

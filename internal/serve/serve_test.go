@@ -7,12 +7,13 @@ import (
 
 	"rangeagg/internal/build"
 	"rangeagg/internal/engine"
+	"rangeagg/internal/method"
 )
 
 func testSpecs() []engine.SynopsisSpec {
 	return []engine.SynopsisSpec{
-		{Name: "h", Metric: engine.Count, Options: build.Options{Method: build.EquiWidth, BudgetWords: 16}},
-		{Name: "s", Metric: engine.Sum, Options: build.Options{Method: build.SAP0, BudgetWords: 24}},
+		{Name: "h", Metric: engine.Count, Options: build.Options{Method: method.EquiWidth, BudgetWords: 16}},
+		{Name: "s", Metric: engine.Sum, Options: build.Options{Method: method.SAP0, BudgetWords: 24}},
 	}
 }
 
@@ -155,7 +156,7 @@ func TestAddDropSynopsis(t *testing.T) {
 	}
 	err := s.AddSynopsis(engine.SynopsisSpec{
 		Name: "w", Metric: engine.Count,
-		Options: build.Options{Method: build.WaveTopBB, BudgetWords: 8},
+		Options: build.Options{Method: method.WaveTopBB, BudgetWords: 8},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +185,7 @@ func TestRebuildFailureKeepsOldSnapshot(t *testing.T) {
 	// without unpublishing the good snapshot, and must be rolled back.
 	err := s.AddSynopsis(engine.SynopsisSpec{
 		Name: "bad", Metric: engine.Count,
-		Options: build.Options{Method: build.VOptimal},
+		Options: build.Options{Method: method.VOptimal},
 	})
 	if err == nil {
 		t.Fatal("zero-budget spec accepted")
@@ -205,7 +206,7 @@ func TestNewRejectsBadSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(eng, []engine.SynopsisSpec{{Name: "bad", Options: build.Options{Method: build.VOptimal}}}, Config{}); err == nil {
+	if _, err := New(eng, []engine.SynopsisSpec{{Name: "bad", Options: build.Options{Method: method.VOptimal}}}, Config{}); err == nil {
 		t.Fatal("invalid initial spec accepted")
 	}
 }
@@ -291,7 +292,7 @@ func TestMergeSynopsisSurvivesRebuild(t *testing.T) {
 	for i := range shardCounts {
 		shardCounts[i] = int64(40 - i%7)
 	}
-	shard, err := build.Build(shardCounts, build.Options{Method: build.EquiDepth, BudgetWords: 16})
+	shard, err := build.Build(shardCounts, build.Options{Method: method.EquiDepth, BudgetWords: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +338,7 @@ func TestMergeSynopsisSurvivesRebuild(t *testing.T) {
 	if err := s.MergeSynopsis("nope", shard); err == nil {
 		t.Error("merge into unknown synopsis accepted")
 	}
-	small, err := build.Build([]int64{1, 2, 3}, build.Options{Method: build.EquiWidth, BudgetWords: 8})
+	small, err := build.Build([]int64{1, 2, 3}, build.Options{Method: method.EquiWidth, BudgetWords: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

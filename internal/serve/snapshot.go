@@ -19,7 +19,7 @@ type Synopsis struct {
 	// Options used to build it.
 	Options build.Options
 	// Est is the immutable estimator.
-	Est build.Estimator
+	Est method.Estimator
 	// ErrModel is the per-range error model built against the snapshot's
 	// data, or nil when the method has none or the synopsis folds remote
 	// shards (whose records the local error model cannot see).

@@ -12,6 +12,7 @@ import (
 
 	"rangeagg/internal/build"
 	"rangeagg/internal/histogram"
+	"rangeagg/internal/method"
 	"rangeagg/internal/plan"
 )
 
@@ -336,7 +337,7 @@ func TestBatchBodyLimit(t *testing.T) {
 // decode failure.
 func TestBatchNonFiniteAnswer(t *testing.T) {
 	s, _, ts := newTestHandler(t)
-	shard, err := build.Build(make([]int64, 64), build.Options{Method: build.EquiDepth, BudgetWords: 16})
+	shard, err := build.Build(make([]int64, 64), build.Options{Method: method.EquiDepth, BudgetWords: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func (o Options) withDefaults() Options {
 // server's inbox.
 type ShardMerge struct {
 	Name string
-	Est  build.Estimator
+	Est  method.Estimator
 }
 
 // Recovery describes what Open reconstructed.
@@ -458,7 +458,7 @@ func (d *DB) DropSynopsis(name string) (bool, error) {
 
 // AbsorbShard durably merges a shard's counts and synopsis into the
 // engine (the engine-level MergeFrom path).
-func (d *DB) AbsorbShard(name string, shardCounts []int64, metric engine.Metric, opt build.Options, est build.Estimator) (*engine.Synopsis, error) {
+func (d *DB) AbsorbShard(name string, shardCounts []int64, metric engine.Metric, opt build.Options, est method.Estimator) (*engine.Synopsis, error) {
 	blob, err := encodeEstimator(est)
 	if err != nil {
 		return nil, err
@@ -476,7 +476,7 @@ func (d *DB) AbsorbShard(name string, shardCounts []int64, metric engine.Metric,
 // estimator joins the recovered inbox on restart. The caller (the
 // server) performs its own validation and folding; this call appends
 // before the server acknowledges.
-func (d *DB) LogShardMerge(name string, est build.Estimator) error {
+func (d *DB) LogShardMerge(name string, est method.Estimator) error {
 	blob, err := encodeEstimator(est)
 	if err != nil {
 		return err
@@ -489,7 +489,7 @@ func (d *DB) LogShardMerge(name string, est build.Estimator) error {
 }
 
 // encodeEstimator serializes an estimator to its codec envelope bytes.
-func encodeEstimator(est build.Estimator) ([]byte, error) {
+func encodeEstimator(est method.Estimator) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := codec.Write(&buf, est); err != nil {
 		return nil, err

@@ -42,9 +42,9 @@ func datasets(t *testing.T, n int) map[string][]int64 {
 // mid-sequence: a mergeable histogram, a bucket synopsis, and a wavelet.
 func synFamilies() []build.Options {
 	return []build.Options{
-		{Method: build.VOptimal, BudgetWords: 16},
-		{Method: build.SAP1, BudgetWords: 20},
-		{Method: build.WaveTopBB, BudgetWords: 16},
+		{Method: method.VOptimal, BudgetWords: 16},
+		{Method: method.SAP1, BudgetWords: 20},
+		{Method: method.WaveTopBB, BudgetWords: 16},
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"rangeagg/internal/build"
 	"rangeagg/internal/engine"
+	"rangeagg/internal/method"
 )
 
 // FuzzWALReplay builds a valid log from an interpreted op stream, then
@@ -58,7 +59,7 @@ func FuzzWALReplay(f *testing.F) {
 					continue // one build is enough coverage per input
 				}
 				if _, err := db.BuildSynopsis("h", engine.Count,
-					build.Options{Method: build.VOptimal, BudgetWords: 6}); err != nil {
+					build.Options{Method: method.VOptimal, BudgetWords: 6}); err != nil {
 					t.Fatal(err)
 				}
 				built = true

@@ -10,6 +10,7 @@ import (
 	"rangeagg/internal/build"
 	"rangeagg/internal/codec"
 	"rangeagg/internal/engine"
+	"rangeagg/internal/method"
 )
 
 // openT opens a DB and fails the test on error.
@@ -73,10 +74,10 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	mustNil(db.Insert(3, 10))
 	mustNil(db.Insert(60, 4))
 	mustNil(db.Delete(3, 2))
-	if _, err := db.BuildSynopsis("h", engine.Count, build.Options{Method: build.VOptimal, BudgetWords: 16}); err != nil {
+	if _, err := db.BuildSynopsis("h", engine.Count, build.Options{Method: method.VOptimal, BudgetWords: 16}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.BuildSynopsis("gone", engine.Count, build.Options{Method: build.EquiWidth, BudgetWords: 12}); err != nil {
+	if _, err := db.BuildSynopsis("gone", engine.Count, build.Options{Method: method.EquiWidth, BudgetWords: 12}); err != nil {
 		t.Fatal(err)
 	}
 	if had, err := db.DropSynopsis("gone"); err != nil || !had {
@@ -170,7 +171,7 @@ func TestCheckpointTruncatesLogAndSkipsReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := db.BuildSynopsis("h", engine.Count, build.Options{Method: build.VOptimal, BudgetWords: 8}); err != nil {
+	if _, err := db.BuildSynopsis("h", engine.Count, build.Options{Method: method.VOptimal, BudgetWords: 8}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Checkpoint(); err != nil {
@@ -396,7 +397,7 @@ func TestShardInboxSurvivesRestart(t *testing.T) {
 	if err := shard.Insert(4, 9); err != nil {
 		t.Fatal(err)
 	}
-	syn, err := shard.BuildSynopsis("h", engine.Count, build.Options{Method: build.VOptimal, BudgetWords: 8})
+	syn, err := shard.BuildSynopsis("h", engine.Count, build.Options{Method: method.VOptimal, BudgetWords: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +449,7 @@ func TestAbsorbShardReplaysAndMerges(t *testing.T) {
 	if err := db.Insert(1, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.BuildSynopsis("h", engine.Count, build.Options{Method: build.VOptimal, BudgetWords: 8}); err != nil {
+	if _, err := db.BuildSynopsis("h", engine.Count, build.Options{Method: method.VOptimal, BudgetWords: 8}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -459,7 +460,7 @@ func TestAbsorbShardReplaysAndMerges(t *testing.T) {
 	if err := shard.Insert(20, 11); err != nil {
 		t.Fatal(err)
 	}
-	ssyn, err := shard.BuildSynopsis("h", engine.Count, build.Options{Method: build.VOptimal, BudgetWords: 8})
+	ssyn, err := shard.BuildSynopsis("h", engine.Count, build.Options{Method: method.VOptimal, BudgetWords: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +533,7 @@ func TestCheckpointSpecOnlySynopsisRebuilds(t *testing.T) {
 		Name: "col", Domain: 8, Applied: 0, Counts: counts,
 		Synopses: []ckptSynopsis{{
 			Name: "h", Metric: int(engine.Count),
-			Options: build.Options{Method: build.VOptimal, BudgetWords: 6},
+			Options: build.Options{Method: method.VOptimal, BudgetWords: 6},
 		}},
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -557,7 +558,7 @@ func TestCheckpointSpecOnlySynopsisRebuilds(t *testing.T) {
 	if err := ref.Load(counts); err != nil {
 		t.Fatal(err)
 	}
-	refSyn, err := ref.BuildSynopsis("h", engine.Count, build.Options{Method: build.VOptimal, BudgetWords: 6})
+	refSyn, err := ref.BuildSynopsis("h", engine.Count, build.Options{Method: method.VOptimal, BudgetWords: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

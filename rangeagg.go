@@ -195,8 +195,8 @@ func (e *InvalidEpsilonError) Error() string {
 // internal ID. Every facade entry point that accepts a Method goes
 // through it; an unregistered value yields *UnknownMethodError rather
 // than an out-of-range cast reaching the internals.
-func (m Method) resolve() (build.Method, error) {
-	id := build.Method(m)
+func (m Method) resolve() (method.ID, error) {
+	id := method.ID(m)
 	if _, err := method.Lookup(id); err != nil {
 		return 0, &UnknownMethodError{Method: m}
 	}
@@ -208,7 +208,7 @@ func (m Method) resolve() (build.Method, error) {
 // methods ignore the check: their Epsilon semantics (OPT-A-ROUNDED)
 // tolerate zero.
 func (m Method) validateEpsilon(eps float64) error {
-	d, err := method.Lookup(build.Method(m))
+	d, err := method.Lookup(method.ID(m))
 	if err != nil || !d.Caps.Has(method.Approximate) {
 		return nil
 	}
@@ -219,14 +219,14 @@ func (m Method) validateEpsilon(eps float64) error {
 }
 
 // String returns the method's paper name.
-func (m Method) String() string { return build.Method(m).String() }
+func (m Method) String() string { return method.ID(m).String() }
 
 // Capabilities lists the method's registered capability flags (e.g.
 // "mergeable", "serializable"), empty for unknown methods. Callers can
 // discover what a method supports — shard merging, wire export, dynamic
 // maintenance — without hard-coding method lists.
 func (m Method) Capabilities() []string {
-	d, err := method.Lookup(build.Method(m))
+	d, err := method.Lookup(method.ID(m))
 	if err != nil {
 		return nil
 	}
@@ -306,12 +306,12 @@ func Build(counts []int64, opt Options) (Synopsis, error) {
 		}
 	}
 	return build.Build(counts, build.Options{
-		Method:      im,
-		BudgetWords: opt.BudgetWords,
-		Reopt:       opt.Reopt,
-		LocalSearch: opt.LocalSearch,
-		Seed:        opt.Seed,
-		Epsilon:     opt.Epsilon,
+		Method:        im,
+		BudgetWords:   opt.BudgetWords,
+		Reopt:         opt.Reopt,
+		LocalSearch:   opt.LocalSearch,
+		Seed:          opt.Seed,
+		Epsilon:       opt.Epsilon,
 		RoundedX:      opt.RoundedX,
 		MaxStates:     opt.MaxStates,
 		CoarsenTo:     opt.CoarsenTo,

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"rangeagg/internal/build"
 	"rangeagg/internal/method"
 )
 
@@ -14,15 +13,15 @@ import (
 // registry numbering they resolve to — the public numbering is part of
 // persisted configurations and must never shift.
 func TestMethodEnumAligned(t *testing.T) {
-	pairs := map[Method]build.Method{
-		Naive: build.Naive, EquiWidth: build.EquiWidth, EquiDepth: build.EquiDepth,
-		MaxDiff: build.MaxDiff, VOptimal: build.VOptimal, PointOpt: build.PointOpt,
-		A0: build.A0, SAP0: build.SAP0, SAP1: build.SAP1, OptA: build.OptA,
-		OptARounded: build.OptARounded, WaveTopBB: build.WaveTopBB,
-		WaveRangeOpt: build.WaveRangeOpt, WaveAA2D: build.WaveAA2D,
-		PrefixOpt: build.PrefixOpt, SAP2: build.SAP2, SAP0Approx: build.SAP0Approx,
-		A0Approx: build.A0Approx, PointOptApprox: build.PointOptApprox,
-		Segmented: build.Segmented,
+	pairs := map[Method]method.ID{
+		Naive: method.Naive, EquiWidth: method.EquiWidth, EquiDepth: method.EquiDepth,
+		MaxDiff: method.MaxDiff, VOptimal: method.VOptimal, PointOpt: method.PointOpt,
+		A0: method.A0, SAP0: method.SAP0, SAP1: method.SAP1, OptA: method.OptA,
+		OptARounded: method.OptARounded, WaveTopBB: method.WaveTopBB,
+		WaveRangeOpt: method.WaveRangeOpt, WaveAA2D: method.WaveAA2D,
+		PrefixOpt: method.PrefixOpt, SAP2: method.SAP2, SAP0Approx: method.SAP0Approx,
+		A0Approx: method.A0Approx, PointOptApprox: method.PointOptApprox,
+		Segmented: method.Segmented,
 	}
 	if len(pairs) != method.Count() {
 		t.Fatalf("pairs cover %d methods, registry has %d", len(pairs), method.Count())

@@ -5,7 +5,7 @@
 // (internal/method and scripts excluded) and fails on:
 //
 //   - a switch whose case arms reference method-enum identifiers
-//     qualified by the build or method packages (e.g. `case build.SAP0:`)
+//     qualified by the build or method packages (e.g. `case method.SAP0:`)
 //   - a switch with two or more case arms matching the wire-family
 //     string literals "histogram"/"wavelet"
 //
