@@ -653,13 +653,15 @@ func BenchmarkPlannerPaths(b *testing.B) {
 // full monolithic rebuild it replaces, both through the engine at
 // n=65536 with the same word budget and including the per-range error
 // model. The dirty path must stay well ahead (≥3× in CI's gate).
+// full-segmented drops the synopsis before each build, so every op is a
+// from-scratch SEGMENTED build — the set-up path.
 func BenchmarkSegmentedRebuild(b *testing.B) {
 	const n = 65536
 	d, err := dataset.Zipf(dataset.ZipfConfig{N: n, Alpha: 1.2, MaxCount: 1000, Seed: 3})
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, opt build.Options) {
+	run := func(b *testing.B, opt build.Options, full bool) {
 		eng, err := engine.New("bench", n)
 		if err != nil {
 			b.Fatal(err)
@@ -679,16 +681,22 @@ func BenchmarkSegmentedRebuild(b *testing.B) {
 			if err := eng.Insert(100+i%64, 1); err != nil {
 				b.Fatal(err)
 			}
+			if full {
+				eng.DropSynopsis("s")
+			}
 			if _, err := eng.BuildSynopsis("s", engine.Count, opt); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 	b.Run("dirty-1-of-8", func(b *testing.B) {
-		run(b, build.Options{Method: method.Segmented, BudgetWords: 256, Segments: 8})
+		run(b, build.Options{Method: method.Segmented, BudgetWords: 256, Segments: 8}, false)
+	})
+	b.Run("full-segmented", func(b *testing.B) {
+		run(b, build.Options{Method: method.Segmented, BudgetWords: 256, Segments: 8}, true)
 	})
 	b.Run("full-monolithic", func(b *testing.B) {
-		run(b, build.Options{Method: method.A0Approx, BudgetWords: 256, Epsilon: 0.1})
+		run(b, build.Options{Method: method.A0Approx, BudgetWords: 256, Epsilon: 0.1}, false)
 	})
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"rangeagg/internal/parallel"
+	"rangeagg/internal/prefix"
 )
 
 const inf = math.MaxFloat64
@@ -36,68 +37,30 @@ const chunkGrain = 32
 // solveLayers is the shared driver behind every interval dynamic program
 // in this package. It runs the O(n²·B) DP with two rolling 1-D rows
 // (instead of full (B+1)×(n+1) tables) and a flattened int32 backtracking
-// matrix, parallelizing each layer over the shared worker pool: every cell
-// of layer k depends only on layer k−1, so rows within a layer are
-// embarrassingly parallel. Results are identical at any pool width because
-// cells are assigned by index and each kernel call is deterministic.
+// matrix, one stepLayer per bucket count.
 func solveLayers(n, maxBuckets int, kernel rowKernel) (starts []int, total float64, err error) {
-	starts, total, _, err = solveLayersCurve(n, maxBuckets, kernel)
-	return starts, total, err
-}
-
-// solveLayersCurve is solveLayers, additionally surfacing the per-layer
-// optima finals[k] = best cost of covering all n values with exactly k
-// buckets (finals[0] = +inf). The layer DP computes these anyway; the
-// segment allocator reads them as the error-vs-space curve of one
-// segment.
-func solveLayersCurve(n, maxBuckets int, kernel rowKernel) (starts []int, total float64, finals []float64, err error) {
 	if n <= 0 {
-		return nil, 0, nil, fmt.Errorf("dp: empty domain (n=%d)", n)
+		return nil, 0, fmt.Errorf("dp: empty domain (n=%d)", n)
 	}
 	if maxBuckets <= 0 {
-		return nil, 0, nil, fmt.Errorf("dp: need at least one bucket, got %d", maxBuckets)
+		return nil, 0, fmt.Errorf("dp: need at least one bucket, got %d", maxBuckets)
 	}
 	if maxBuckets > n {
 		maxBuckets = n
 	}
-	prev := make([]float64, n+1)
-	cur := make([]float64, n+1)
-	for i := 1; i <= n; i++ {
-		prev[i] = inf
-	}
-	prev[0] = 0 // layer 0: zero buckets cover exactly zero values
+	prev, cur := layerZero(n), make([]float64, n+1)
 	// choice[k*(n+1)+i] is the backtracking pointer of cell (k, i).
 	choice := make([]int32, (maxBuckets+1)*(n+1))
-	finals = make([]float64, maxBuckets+1)
-	finals[0] = inf
-	for k := 1; k <= maxBuckets; k++ {
-		// Feasible window of the previous layer: layer 0 is feasible only
-		// at j=0; layer k−1 ≥ 1 is feasible exactly on [k−1, n]. Scanning
-		// only this window replaces the seed's linear skip over inf cells.
-		jLo, jHi := k-1, n
-		if k == 1 {
-			jHi = 0
-		}
-		row := choice[k*(n+1) : (k+1)*(n+1)]
-		for i := 0; i < k; i++ {
-			cur[i] = inf
-			row[i] = -1
-		}
-		cells := n - k + 1 // cells i = k..n
-		parallel.ForEachChunk(cells, chunkGrain, func(lo, hi int) {
-			kernel(jLo, jHi, k+lo, k+hi, prev, cur, row)
-		})
-		finals[k] = cur[n]
-		prev, cur = cur, prev
-	}
 	bestK, bestCost := 0, inf
 	for k := 1; k <= maxBuckets; k++ {
-		if finals[k] < bestCost {
-			bestCost, bestK = finals[k], k
+		stepLayer(n, k, kernel, prev, cur, choice[k*(n+1):(k+1)*(n+1)])
+		if cur[n] < bestCost {
+			bestCost, bestK = cur[n], k
 		}
+		prev, cur = cur, prev
 	}
 	if bestK == 0 {
-		return nil, 0, nil, fmt.Errorf("dp: no feasible bucketing for n=%d B=%d", n, maxBuckets)
+		return nil, 0, fmt.Errorf("dp: no feasible bucketing for n=%d B=%d", n, maxBuckets)
 	}
 	starts = make([]int, bestK)
 	i := n
@@ -106,7 +69,72 @@ func solveLayersCurve(n, maxBuckets int, kernel rowKernel) (starts []int, total 
 		starts[k-1] = j
 		i = j
 	}
-	return starts, bestCost, finals, nil
+	return starts, bestCost, nil
+}
+
+// layerZero returns DP layer 0: zero buckets cover exactly zero values.
+func layerZero(n int) []float64 {
+	row := make([]float64, n+1)
+	for i := 1; i <= n; i++ {
+		row[i] = inf
+	}
+	return row
+}
+
+// stepLayer computes DP layer k ≥ 1 into cur (and its backtracking
+// pointers into row) from layer k−1 in prev. It is the one layer loop
+// every driver shares, parallelized over the shared worker pool: every
+// cell of layer k depends only on layer k−1, so cells are embarrassingly
+// parallel, and results are identical at any pool width because cells
+// are assigned by index and each kernel call is deterministic.
+func stepLayer(n, k int, kernel rowKernel, prev, cur []float64, row []int32) {
+	// Feasible window of the previous layer: layer 0 is feasible only at
+	// j=0; layer k−1 ≥ 1 is feasible exactly on [k−1, n].
+	jLo, jHi := k-1, n
+	if k == 1 {
+		jHi = 0
+	}
+	for i := 0; i < k; i++ {
+		cur[i] = inf
+		row[i] = -1
+	}
+	cells := n - k + 1 // cells i = k..n
+	parallel.ForEachChunk(cells, chunkGrain, func(lo, hi int) {
+		kernel(jLo, jHi, k+lo, k+hi, prev, cur, row)
+	})
+}
+
+// CurveStepper evaluates the A0 error-vs-space curve of one series one
+// layer at a time: the k-th call to Next returns the optimal fused-A0
+// cost of partitioning the series into exactly k non-empty contiguous
+// buckets — the value dp.A0's layer k computes for cell n. A budget
+// allocator reads only the first few layers of most curves, so it
+// extends each curve on demand instead of solving every layer up front.
+// The stepper keeps two rolling rows and one scratch pointer row; it
+// never backtracks.
+type CurveStepper struct {
+	n, k      int
+	kernel    rowKernel
+	prev, cur []float64
+	row       []int32
+}
+
+// NewA0CurveStepper returns a stepper over the fused A0 cost of tab's
+// series (the inlined a0Kernel; bit-identical to FusedA0Cost).
+func NewA0CurveStepper(tab *prefix.Table) *CurveStepper {
+	n := tab.N()
+	return &CurveStepper{n: n, kernel: a0Kernel(tab),
+		prev: layerZero(n), cur: make([]float64, n+1), row: make([]int32, n+1)}
+}
+
+// Next computes the next layer k and returns its optimum. A series of n
+// values has n layers (one bucket per value); Next must not be called
+// more often.
+func (s *CurveStepper) Next() float64 {
+	s.k++
+	stepLayer(s.n, s.k, s.kernel, s.prev, s.cur, s.row)
+	s.prev, s.cur = s.cur, s.prev
+	return s.prev[s.n]
 }
 
 // closureKernel adapts an arbitrary CostFunc to a rowKernel. Specialized
@@ -144,21 +172,6 @@ func closureKernel(cost CostFunc) rowKernel {
 // over the shared worker pool; the result is identical at any pool width.
 func Solve(n, maxBuckets int, cost CostFunc) (starts []int, total float64, err error) {
 	return solveLayers(n, maxBuckets, closureKernel(cost))
-}
-
-// SolveCurve runs the same layered DP as Solve but returns the whole
-// error-vs-space curve instead of just its minimum: curve[k] is the
-// optimal cost of partitioning [0,n) into exactly k non-empty contiguous
-// buckets, for k = 1..min(maxBuckets, n); curve[0] is +inf (zero buckets
-// cover nothing). The curve is what a budget allocator needs — marginal
-// gains curve[k]−curve[k+1] per added bucket — and costs no more than one
-// Solve (the per-layer optima fall out of the rolling rows).
-//
-// The curve is not forced monotone: for costs that are not non-increasing
-// in bucket count the caller applies a running minimum.
-func SolveCurve(n, maxBuckets int, cost CostFunc) ([]float64, error) {
-	_, _, finals, err := solveLayersCurve(n, maxBuckets, closureKernel(cost))
-	return finals, err
 }
 
 // SolveReference is the seed implementation of Solve — full 2-D tables, a

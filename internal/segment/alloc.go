@@ -36,46 +36,57 @@ func (p *Plan) TotalUnits() int {
 	return t
 }
 
-// curveFor computes the error-vs-space curve of one segment: curve[u] =
-// (coarsened) optimal A0 cost of summarizing counts[lo..hi] with u
-// buckets, non-increasing in u (running minimum applied). The A0 fused
-// cost is the same range-SSE surrogate the advisor's sweep and the
-// approximate builder optimize, so the allocator ranks segments on the
-// axis the per-segment builds will actually minimize.
-func curveFor(counts []int64, lo, hi int) ([]float64, error) {
+// curve is the lazily evaluated error-vs-space curve of one segment:
+// vals[u] = (coarsened) optimal A0 cost of summarizing the segment with u
+// buckets, non-increasing in u (running minimum applied as each layer is
+// appended), vals[0] unused. The A0 fused cost is the same range-SSE
+// surrogate the advisor's sweep and the approximate builder optimize, so
+// the allocator ranks segments on the axis the per-segment builds will
+// actually minimize. Layers are computed only as the greedy reads them.
+type curve struct {
+	step *dp.CurveStepper
+	vals []float64
+	max  int // layer cap: min(maxCurveUnits, coarsened width)
+}
+
+func newCurve(counts []int64, lo, hi int) *curve {
+	series := curveSeries(counts, lo, hi)
+	return &curve{step: dp.NewA0CurveStepper(prefix.NewTable(series)),
+		vals: make([]float64, 1, maxCurveUnits+1), max: min(maxCurveUnits, len(series))}
+}
+
+// curveSeries is the series a segment's curve is evaluated on: counts
+// [lo..hi], pre-aggregated to curveCells equal-width cells when wider.
+func curveSeries(counts []int64, lo, hi int) []int64 {
 	width := hi - lo + 1
 	series := counts[lo : hi+1]
-	if width > curveCells {
-		coarse := make([]int64, curveCells)
-		for c := 0; c < curveCells; c++ {
-			a, b := c*width/curveCells, (c+1)*width/curveCells
-			var s int64
-			for j := a; j < b; j++ {
-				s += series[j]
-			}
-			coarse[c] = s
+	if width <= curveCells {
+		return series
+	}
+	coarse := make([]int64, curveCells)
+	for c := 0; c < curveCells; c++ {
+		a, b := c*width/curveCells, (c+1)*width/curveCells
+		var s int64
+		for j := a; j < b; j++ {
+			s += series[j]
 		}
-		series = coarse
-		width = curveCells
+		coarse[c] = s
 	}
-	maxB := maxCurveUnits
-	if maxB > width {
-		maxB = width
-	}
-	tab := prefix.NewTable(series)
-	curve, err := dp.SolveCurve(width, maxB, dp.FusedA0Cost(tab))
-	if err != nil {
-		return nil, err
-	}
-	// Force monotone non-increasing: adding a bucket can only help the
-	// true objective, but per-layer DP optima need not be monotone for
-	// the fused surrogate. Running min keeps every marginal gain ≥ 0.
-	for u := 2; u < len(curve); u++ {
-		if curve[u] > curve[u-1] {
-			curve[u] = curve[u-1]
+	return coarse
+}
+
+// extend computes layers up to min(u, max).
+func (c *curve) extend(u int) {
+	for k := len(c.vals); k <= u && k <= c.max; k++ {
+		v := c.step.Next()
+		// Force monotone non-increasing: adding a bucket can only help the
+		// true objective, but per-layer DP optima need not be monotone for
+		// the fused surrogate. Running min keeps every marginal gain ≥ 0.
+		if k >= 2 && v > c.vals[k-1] {
+			v = c.vals[k-1]
 		}
+		c.vals = append(c.vals, v)
 	}
-	return curve, nil
 }
 
 // Allocate distributes totalUnits buckets across the segments of the
@@ -86,7 +97,9 @@ func curveFor(counts []int64, lo, hi int) ([]float64, error) {
 // the lowest segment index, making the allocation deterministic and —
 // because the curves do not depend on the budget — monotone in
 // totalUnits: growing the budget never shrinks any segment's share.
-// Per-segment curves are computed concurrently on the shared pool.
+// Curves are evaluated lazily: the first two layers of every segment
+// concurrently on the shared pool, then one more layer of the segment
+// that just won a bucket, so a plan reads Σ(uᵢ+1) layers, not K×128.
 func Allocate(counts []int64, starts []int, totalUnits int) (*Plan, error) {
 	if err := validStarts(len(counts), starts); err != nil {
 		return nil, err
@@ -95,29 +108,24 @@ func Allocate(counts []int64, starts []int, totalUnits int) (*Plan, error) {
 	if totalUnits < k {
 		return nil, fmt.Errorf("segment: %d units cannot cover %d segments (one bucket each minimum)", totalUnits, k)
 	}
-	curves := make([][]float64, k)
-	errs := make([]error, k)
+	curves := make([]*curve, k)
 	parallel.ForEach(k, func(i int) {
 		lo, hi := segBounds(len(counts), starts, i)
-		curves[i], errs[i] = curveFor(counts, lo, hi)
+		curves[i] = newCurve(counts, lo, hi)
+		curves[i].extend(2)
 	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("segment: allocation curve for segment %d: %w", i, err)
-		}
-	}
 	units := make([]int, k)
 	for i := range units {
 		units[i] = 1
 	}
 	for remaining := totalUnits - k; remaining > 0; remaining-- {
 		best, bestGain := -1, -1.0
-		for i := 0; i < k; i++ {
+		for i, c := range curves {
 			u := units[i]
-			if u+1 >= len(curves[i]) {
+			if u+1 >= len(c.vals) {
 				continue // segment at its curve cap (or at one bucket per value)
 			}
-			if gain := curves[i][u] - curves[i][u+1]; gain > bestGain {
+			if gain := c.vals[u] - c.vals[u+1]; gain > bestGain {
 				best, bestGain = i, gain
 			}
 		}
@@ -125,6 +133,7 @@ func Allocate(counts []int64, starts []int, totalUnits int) (*Plan, error) {
 			break // every segment saturated; leave the rest of the budget unused
 		}
 		units[best]++
+		curves[best].extend(units[best] + 1)
 	}
 	return &Plan{Starts: append([]int(nil), starts...), Units: units}, nil
 }

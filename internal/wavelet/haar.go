@@ -117,32 +117,31 @@ func BasisRangeSum(n, k, a, b int) float64 {
 	if a > b {
 		return 0
 	}
-	start, length, half, amp := basisParams(n, k)
+	start, length, _, amp := basisParams(n, k)
 	end := start + length - 1
 	if b < start || a > end {
 		return 0
 	}
-	clamp := func(x, lo, hi int) int {
-		if x < lo {
-			return lo
-		}
-		if x > hi {
-			return hi
-		}
-		return x
-	}
 	if k == 0 {
-		lo, hi := clamp(a, start, end), clamp(b, start, end)
+		lo, hi := max(a, start), min(b, end)
 		return float64(hi-lo+1) * amp
 	}
-	posEnd := start + half - 1
+	return detailRangeSum(start, length, a, b, amp)
+}
+
+// detailRangeSum is BasisRangeSum for a detail (non-DC) vector with
+// support [start, start+length) that meets [a,b], given its amplitude.
+// A support wholly inside [a,b] sums to exactly +0 (half·amp − half·amp).
+func detailRangeSum(start, length, a, b int, amp float64) float64 {
+	end := start + length - 1
+	posEnd := start + length/2 - 1
 	var sum float64
 	if a <= posEnd && b >= start {
-		lo, hi := clamp(a, start, posEnd), clamp(b, start, posEnd)
+		lo, hi := max(a, start), min(b, posEnd)
 		sum += float64(hi-lo+1) * amp
 	}
 	if b > posEnd {
-		lo, hi := clamp(a, posEnd+1, end), clamp(b, posEnd+1, end)
+		lo, hi := max(a, posEnd+1), min(b, end)
 		if lo <= hi {
 			sum -= float64(hi-lo+1) * amp
 		}
