@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench benchdiff bench-baseline fuzz-smoke cover lint
+.PHONY: build test race bench benchdiff bench-baseline fuzz-smoke cover lint loc
 
 build:
 	$(GO) build ./...
@@ -50,3 +50,9 @@ cover:
 lint:
 	$(GO) vet ./...
 	$(GO) run ./scripts/switchlint
+
+# Non-test Go lines of the root module (perfbench is a module of its
+# own, so ./... leaves it out): the net-lines-removed figure changes
+# report.
+loc:
+	@$(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}' ./... | xargs cat | wc -l

@@ -497,10 +497,9 @@ func BenchmarkServeHTTP(b *testing.B) {
 // words) and a finer one escalation reaches — plus a zipf-skewed
 // workload of 256 budget queries. Each query's budget is the fine
 // synopsis's own bound on its range, so the fine synopsis exactly
-// satisfies it while the coarse one fails: every cache miss pays both
-// synopses' estimate+bound (the wavelet's is O(coefficients)), every
-// hit pays two cache probes.
-func plannerBench(b testing.TB, cacheEntries int) (*serve.Server, []serve.Query) {
+// satisfies it while the coarse one fails: every query pays both
+// synopses' estimate+bound (the wavelet's is O(log n)).
+func plannerBench(b testing.TB) (*serve.Server, []serve.Query) {
 	b.Helper()
 	const n = 2048
 	counts, err := ZipfCounts(n, 1.8, 1000, 1)
@@ -518,7 +517,7 @@ func plannerBench(b testing.TB, cacheEntries int) (*serve.Server, []serve.Query)
 		{Name: "coarse", Metric: engine.Count, Options: build.Options{Method: method.EquiWidth, BudgetWords: 16}},
 		{Name: "fine", Metric: engine.Count, Options: build.Options{Method: method.WaveTopBB, BudgetWords: 256}},
 	}
-	srv, err := serve.New(eng, specs, serve.Config{CacheEntries: cacheEntries})
+	srv, err := serve.New(eng, specs, serve.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -557,32 +556,12 @@ func plannerBench(b testing.TB, cacheEntries int) (*serve.Server, []serve.Query)
 }
 
 // BenchmarkPlannerPaths measures the per-answer cost of each planner
-// path in isolation (cache-hit, uncached probe, escalation to the exact
-// tables) and then the headline workload the cache exists for: a
-// zipf-skewed batch of 256 budget queries with the hot-range cache on
-// versus off. The per-batch p99 is reported as p99-ns/batch; with the
-// skewed pool almost entirely resident after the first batch, cache-on
-// must beat cache-off by at least 2x.
+// path in isolation (probe, escalation to the exact tables) and then the
+// headline workload: a zipf-skewed batch of 256 budget queries. The
+// per-batch p99 is reported as p99-ns/batch.
 func BenchmarkPlannerPaths(b *testing.B) {
-	b.Run("cache-hit", func(b *testing.B) {
-		srv, qs := plannerBench(b, 0)
-		if res, _ := srv.QueryOne(qs[0]); res.Err != nil { // warm the cache
-			b.Fatal(res.Err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, _ := srv.QueryOne(qs[0])
-			if res.Err != nil {
-				b.Fatal(res.Err)
-			}
-			if res.Path != plan.PathCache {
-				b.Fatalf("path %s, want cache", res.Path)
-			}
-		}
-	})
 	b.Run("probe", func(b *testing.B) {
-		srv, qs := plannerBench(b, -1) // cache disabled: every op recomputes
+		srv, qs := plannerBench(b)
 		q := qs[0]
 		q.MaxErr = nil
 		q.Synopsis = "coarse"
@@ -600,7 +579,7 @@ func BenchmarkPlannerPaths(b *testing.B) {
 		}
 	})
 	b.Run("escalate-to-exact", func(b *testing.B) {
-		srv, qs := plannerBench(b, -1)
+		srv, qs := plannerBench(b)
 		q := qs[0]
 		zero := 0.0
 		q.MaxErr = &zero // no synopsis meets a zero budget
@@ -616,35 +595,27 @@ func BenchmarkPlannerPaths(b *testing.B) {
 			}
 		}
 	})
-	for _, bc := range []struct {
-		name    string
-		entries int
-	}{
-		{"zipf-batch-256/cache-on", 0},
-		{"zipf-batch-256/cache-off", -1},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			srv, qs := plannerBench(b, bc.entries)
-			if results, _ := srv.QueryBatch(qs); results[0].Err != nil { // warm
+	b.Run("zipf-batch-256", func(b *testing.B) {
+		srv, qs := plannerBench(b)
+		if results, _ := srv.QueryBatch(qs); results[0].Err != nil { // warm
+			b.Fatal(results[0].Err)
+		}
+		lat := make([]time.Duration, 0, b.N)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			start := time.Now()
+			results, _ := srv.QueryBatch(qs)
+			lat = append(lat, time.Since(start))
+			if results[0].Err != nil {
 				b.Fatal(results[0].Err)
 			}
-			lat := make([]time.Duration, 0, b.N)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				start := time.Now()
-				results, _ := srv.QueryBatch(qs)
-				lat = append(lat, time.Since(start))
-				if results[0].Err != nil {
-					b.Fatal(results[0].Err)
-				}
-			}
-			b.StopTimer()
-			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-			p99 := lat[len(lat)*99/100]
-			b.ReportMetric(float64(p99.Nanoseconds()), "p99-ns/batch")
-		})
-	}
+		}
+		b.StopTimer()
+		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+		p99 := lat[len(lat)*99/100]
+		b.ReportMetric(float64(p99.Nanoseconds()), "p99-ns/batch")
+	})
 }
 
 // BenchmarkSegmentedRebuild measures the tentpole claim of the segmented

@@ -111,11 +111,9 @@ func main() {
 		}
 		tab := prefix.NewTable(counts)
 		em, emErr := method.ErrorBoundFor(tab, syn)
-		planner = plan.New(0) // one-shot CLI: no hot-range cache
+		planner = plan.New(0)
 		view = &plan.View{
-			Version: 1,
-			Metric:  "count",
-			Domain:  syn.N(),
+			Domain: syn.N(),
 			Sources: []plan.Source{{
 				Name:     syn.Name(),
 				Words:    syn.StorageWords(),

@@ -1,23 +1,19 @@
 package rangeagg
 
-import (
-	"fmt"
+import "fmt"
 
-	"rangeagg/internal/stream"
-	"rangeagg/internal/wavelet"
-)
-
-// Dynamic is a self-maintaining range synopsis: point updates to the
-// distribution cost O(log n) and queries always reflect every update —
-// the dynamic-maintenance setting of the paper's wavelet references
-// [11, 17], here with the range-optimal prefix-domain selection. The full
-// coefficient vector is kept exact internally (O(n) memory, like the data
-// itself); StorageWords reports the size of the *published* top-B
-// synopsis, which is re-selected lazily after updates.
+// Dynamic is a range synopsis over a distribution that takes point
+// updates: an update costs O(1), and the next query rebuilds the
+// range-optimal prefix-domain wavelet (WAVE-RANGEOPT) at the same budget
+// from the current counts, so every answer is bit-identical to a static
+// Build on the data as it stands. It keeps a private copy of the counts
+// (O(n) memory, like the data itself); StorageWords reports the size of
+// the published synopsis.
 type Dynamic struct {
-	m      *stream.PrefixMaintainer
+	counts []int64
+	total  int64
 	budget int
-	snap   *wavelet.PrefixSynopsis
+	syn    Synopsis
 	dirty  bool
 }
 
@@ -27,16 +23,10 @@ func NewDynamic(counts []int64, budgetWords int) (*Dynamic, error) {
 	if budgetWords < 2 {
 		return nil, fmt.Errorf("rangeagg: dynamic synopsis needs at least 2 words, got %d", budgetWords)
 	}
-	for i, c := range counts {
-		if c < 0 {
-			return nil, fmt.Errorf("rangeagg: negative count %d at value %d", c, i)
-		}
+	d := &Dynamic{counts: append([]int64(nil), counts...), budget: budgetWords}
+	for _, c := range counts {
+		d.total += c
 	}
-	m, err := stream.NewPrefixMaintainer(counts)
-	if err != nil {
-		return nil, err
-	}
-	d := &Dynamic{m: m, budget: budgetWords, dirty: true}
 	if err := d.refresh(); err != nil {
 		return nil, err
 	}
@@ -44,52 +34,54 @@ func NewDynamic(counts []int64, budgetWords int) (*Dynamic, error) {
 }
 
 func (d *Dynamic) refresh() error {
-	snap, err := d.m.Snapshot(d.budget / 2)
+	syn, err := Build(d.counts, Options{Method: WaveRangeOpt, BudgetWords: d.budget})
 	if err != nil {
 		return err
 	}
-	d.snap = snap
-	d.dirty = false
+	d.syn, d.dirty = syn, false
 	return nil
 }
 
-// Update applies counts[value] += delta in O(log n).
-func (d *Dynamic) Update(value int, delta int64) error {
-	if err := d.m.Update(value, delta); err != nil {
-		return err
+// published returns the synopsis over the current counts, rebuilding it
+// first if updates arrived since the last build.
+func (d *Dynamic) published() Synopsis {
+	if d.dirty {
+		if err := d.refresh(); err != nil {
+			// The domain and budget passed the same build in NewDynamic
+			// and Update keeps every count non-negative.
+			panic(err)
+		}
 	}
+	return d.syn
+}
+
+// Update applies counts[value] += delta. It rejects a value outside the
+// domain and a delta that would make counts[value] negative.
+func (d *Dynamic) Update(value int, delta int64) error {
+	if value < 0 || value >= len(d.counts) {
+		return fmt.Errorf("rangeagg: value %d outside domain [0,%d)", value, len(d.counts))
+	}
+	if d.counts[value]+delta < 0 {
+		return fmt.Errorf("rangeagg: update %+d would make the count at value %d negative (%d)",
+			delta, value, d.counts[value])
+	}
+	d.counts[value] += delta
+	d.total += delta
 	d.dirty = true
 	return nil
 }
 
-// Estimate answers the range query from the current state, re-selecting
-// the published coefficients first if updates arrived since the last
-// query.
-func (d *Dynamic) Estimate(a, b int) float64 {
-	if d.dirty {
-		if err := d.refresh(); err != nil {
-			// Snapshot can only fail for b ≤ 0, excluded at construction.
-			panic(err)
-		}
-	}
-	return d.snap.Estimate(a, b)
-}
+// Estimate answers the range query from the current counts.
+func (d *Dynamic) Estimate(a, b int) float64 { return d.published().Estimate(a, b) }
 
 // N returns the domain size.
-func (d *Dynamic) N() int { return d.m.N() }
+func (d *Dynamic) N() int { return len(d.counts) }
 
 // StorageWords reports the published synopsis size.
-func (d *Dynamic) StorageWords() int {
-	if d.dirty {
-		if err := d.refresh(); err != nil {
-			panic(err)
-		}
-	}
-	return d.snap.StorageWords()
-}
+func (d *Dynamic) StorageWords() int { return d.published().StorageWords() }
 
 // Name identifies the construction.
 func (d *Dynamic) Name() string { return "WAVE-RANGEOPT(dyn)" }
 
-// Total returns the maintained total record count.
-func (d *Dynamic) Total() int64 { return d.m.Total() }
+// Total returns the current total record count.
+func (d *Dynamic) Total() int64 { return d.total }

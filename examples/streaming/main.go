@@ -1,8 +1,9 @@
 // Streaming example: dynamic synopsis maintenance. A live feed of record
-// insertions updates a range synopsis in O(log n) per record — no rebuild
-// — and queries always reflect the latest data, the dynamic-maintenance
-// setting of the paper's wavelet references. The example also shows the
-// advisor picking a method for the observed query workload.
+// insertions updates a range synopsis in O(1) per record; the next query
+// rebuilds the synopsis from the current counts, so answers always
+// reflect the latest data, the dynamic-maintenance setting of the
+// paper's wavelet references. The example also shows the advisor picking
+// a method for the observed query workload.
 package main
 
 import (

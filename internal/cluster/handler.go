@@ -28,8 +28,9 @@ import (
 //	                    (bodies over serve.MaxBatchBytes: 413)
 //	POST /ingest        {"inserts":[{"value","count"}],"deletes":[...]}
 //	                    — mutations forwarded to each value's owner
+//	                    (bodies over serve.MaxBatchBytes: 413)
 //	POST /load          {"counts":[...]} — a full-domain load split into
-//	                    per-owner slices
+//	                    per-owner slices (bodies over serve.MaxLoadBytes: 413)
 //	GET  /metrics       per-endpoint request/error/latency stats (JSON)
 //	GET  /metrics.prom  the same plus the process-wide obs series
 //
@@ -123,8 +124,8 @@ func NewHandler(r *Router, m *serve.Metrics) http.Handler {
 			Inserts []mutation `json:"inserts"`
 			Deletes []mutation `json:"deletes"`
 		}
-		if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-			return http.StatusBadRequest, fmt.Errorf("decoding ingest request: %w", err)
+		if status, err := serve.DecodeJSONBody(w, req, serve.MaxBatchBytes, &body, "ingest"); err != nil {
+			return status, err
 		}
 		applied, err := r.forwardIngest(req, body.Inserts, body.Deletes)
 		if err != nil {
@@ -138,8 +139,8 @@ func NewHandler(r *Router, m *serve.Metrics) http.Handler {
 		var body struct {
 			Counts []int64 `json:"counts"`
 		}
-		if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-			return http.StatusBadRequest, fmt.Errorf("decoding load request: %w", err)
+		if status, err := serve.DecodeJSONBody(w, req, serve.MaxLoadBytes(r.topo.Domain), &body, "load"); err != nil {
+			return status, err
 		}
 		if len(body.Counts) != r.topo.Domain {
 			return http.StatusBadRequest, fmt.Errorf("load carries %d counts, topology domain is %d",

@@ -208,6 +208,35 @@ func TestHandlerIngestAndLoadForwarding(t *testing.T) {
 	_ = router
 }
 
+// TestHandlerWriteBodyLimits: the router refuses oversized /ingest and
+// /load bodies with a 413 before forwarding anything; /ingest is capped
+// at serve.MaxBatchBytes and /load at serve.MaxLoadBytes of the domain.
+func TestHandlerWriteBodyLimits(t *testing.T) {
+	_, ts := startRouterHandler(t, make([]int64, 64))
+	loadCap := int(serve.MaxLoadBytes(64))
+	for _, tc := range []struct{ path, body string }{
+		{"/ingest", strings.Repeat(" ", serve.MaxBatchBytes) + `{"inserts":[{"value":1,"count":1}]}`},
+		{"/load", `{"counts":[` + strings.Repeat("0,", loadCap/2) + `0]}`},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out map[string]string
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(out["error"], "exceeds") {
+			t.Fatalf("%s: status %d, body %v; want 413 with an error", tc.path, resp.StatusCode, out)
+		}
+	}
+	// Bodies inside the caps are forwarded.
+	postJSON(t, ts.URL+"/ingest", map[string]any{"inserts": []map[string]int{{"value": 1, "count": 1}}}, http.StatusOK)
+	postJSON(t, ts.URL+"/load", map[string]any{"counts": make([]int64, 64)}, http.StatusOK)
+}
+
 func TestHandlerDegradedHealthz(t *testing.T) {
 	counts := make([]int64, 64)
 	windows := evenWindows(64, 2)

@@ -75,9 +75,6 @@ const (
 	// Reoptimizable methods produce average-representation histograms the
 	// §5 value re-optimization and boundary local search apply to.
 	Reoptimizable
-	// Dynamic methods have an O(log n)-per-update maintenance path
-	// (internal/stream) whose snapshots are identical to rebuilds.
-	Dynamic
 	// TwoD methods summarize the two-dimensional virtual range-sum matrix
 	// (the paper's §3 construction).
 	TwoD
@@ -111,7 +108,6 @@ var capNames = []struct {
 	{Mergeable, "mergeable"},
 	{PrefixDecomposable, "prefix-decomposable"},
 	{Reoptimizable, "reoptimizable"},
-	{Dynamic, "dynamic"},
 	{TwoD, "2d"},
 	{Serializable, "serializable"},
 	{BucketBased, "bucket-based"},

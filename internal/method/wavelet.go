@@ -5,9 +5,7 @@ package method
 // WAVE-RANGEOPT (range-optimal selection on the prefix-sum domain) and
 // WAVE-AA2D (the paper's §3 two-dimensional construction over the virtual
 // range-sum matrix). Coefficient synopses are not bucket partitions, so
-// the coarsen-lift and merge paths do not apply; the one-dimensional
-// members have exact O(log n)-per-update dynamic maintenance
-// (internal/stream).
+// the coarsen-lift and merge paths do not apply.
 
 import (
 	"rangeagg/internal/prefix"
@@ -20,7 +18,7 @@ func init() {
 		Name:         "TOPBB",
 		Family:       "wavelet",
 		WordsPerUnit: 2,
-		Caps:         PrefixDecomposable | Dynamic | Serializable | ErrorBounded,
+		Caps:         PrefixDecomposable | Serializable | ErrorBounded,
 		Build: func(_ *prefix.Table, counts []int64, opt Opts) (Estimator, error) {
 			return wavelet.NewData(counts, opt.Units)
 		},
@@ -31,7 +29,7 @@ func init() {
 		Name:         "WAVE-RANGEOPT",
 		Family:       "wavelet",
 		WordsPerUnit: 2,
-		Caps:         PrefixDecomposable | Dynamic | Serializable | ErrorBounded,
+		Caps:         PrefixDecomposable | Serializable | ErrorBounded,
 		Build: func(tab *prefix.Table, _ []int64, opt Opts) (Estimator, error) {
 			return wavelet.NewRangeOpt(tab, opt.Units)
 		},

@@ -20,7 +20,7 @@ func FuzzPlannerBudget(f *testing.F) {
 
 	p := New(128)
 	v := &View{
-		Version: 1, Metric: "count", Domain: 64,
+		Domain: 64,
 		Sources: []Source{
 			{
 				Name: "coarse", Words: 4,

@@ -62,7 +62,7 @@ func TestMergeAnswersComposition(t *testing.T) {
 
 	// One unbounded part poisons the merged bound, not the value.
 	m = MergeAnswers(
-		Answer{Value: 1, Bound: 0.1, Rigorous: true, Path: PathCache},
+		Answer{Value: 1, Bound: 0.1, Rigorous: true, Path: PathProbe},
 		Answer{Value: 2, Bound: math.Inf(1), Rigorous: false, Path: PathProbe},
 	)
 	if m.Value != 3 || !math.IsInf(m.Bound, 1) || m.Rigorous {

@@ -1,11 +1,10 @@
 // Package plan is the error-budget query planner: given a view of the
 // synopses built over one metric (plus an exact fallback) it answers
 // each range query by the cheapest path whose error bound meets the
-// caller's budget — hot-range cache, synopsis probe, escalation to a
-// finer synopsis, or the exact prefix table — and attaches the bound it
-// met to the answer. The per-range bounds come from the method layer's
-// error models (method.ErrorModel); the cache is snapshot-versioned so
-// a rebuild can never serve a stale answer.
+// caller's budget — synopsis probe, escalation to a finer synopsis, or
+// the exact prefix table — and attaches the bound it met to the answer.
+// The per-range bounds come from the method layer's error models
+// (method.ErrorModel).
 package plan
 
 import (
@@ -23,10 +22,8 @@ import (
 type Path int
 
 const (
-	// PathCache: the answer came from the hot-range cache.
-	PathCache Path = iota
 	// PathProbe: the first (pinned or cheapest) synopsis met the budget.
-	PathProbe
+	PathProbe Path = iota
 	// PathEscalate: a later, finer synopsis met the budget after earlier
 	// ones failed it.
 	PathEscalate
@@ -34,7 +31,7 @@ const (
 	PathExact
 )
 
-var pathNames = [...]string{"cache", "probe", "escalate", "exact"}
+var pathNames = [...]string{"probe", "escalate", "exact"}
 
 func (p Path) String() string {
 	if p < 0 || int(p) >= len(pathNames) {
@@ -63,8 +60,7 @@ var ErrBudget = errors.New("plan: no path meets the error budget")
 // false when the synopsis carries no error model, in which case the
 // planner treats the bound as +Inf).
 type Source struct {
-	// Name is the synopsis name (the cache key component and the name
-	// reported in answers).
+	// Name is the synopsis name reported in answers.
 	Name string
 	// Words is the synopsis's storage footprint; the planner probes
 	// cheapest-first (the advisor's cost-sweep ordering).
@@ -80,15 +76,9 @@ type Source struct {
 	NoModel bool
 }
 
-// View is the planner's read-only picture of one metric at one snapshot
-// version: the synopses to probe (cheapest-first) and the exact
-// fallback.
+// View is the planner's read-only picture of one metric at one snapshot:
+// the synopses to probe (cheapest-first) and the exact fallback.
 type View struct {
-	// Version is the snapshot version; it keys the cache so answers from
-	// older snapshots can never leak into newer ones.
-	Version int64
-	// Metric names what the view summarizes ("count", "sum").
-	Metric string
 	// Domain is the attribute-domain size; queries are clamped to it.
 	Domain int
 	// Sources are the probe candidates, cheapest-first (see OrderSources).
@@ -136,30 +126,20 @@ type Answer struct {
 }
 
 // Planner routes queries through the cheapest path meeting each one's
-// error budget, caching hot ranges. The zero Planner is not usable; use
-// New.
+// error budget. The zero Planner is not usable; use New.
 type Planner struct {
-	cache *Cache
-
 	// nprobes counts this planner's synopsis probes (estimate + bound
 	// evaluations); the obs counter aggregates across planners.
 	nprobes atomic.Int64
 
-	hits, misses *obs.Counter
-	probes       *obs.Counter
-	answers      [len(pathNames)]*obs.Counter
-	latency      [len(pathNames)]*obs.Histogram
+	probes  *obs.Counter
+	answers [len(pathNames)]*obs.Counter
+	latency [len(pathNames)]*obs.Histogram
 }
 
-// New builds a planner with a hot-range cache of about cacheEntries
-// answers; cacheEntries ≤ 0 disables caching.
-func New(cacheEntries int) *Planner {
-	p := &Planner{
-		cache:  NewCache(cacheEntries),
-		hits:   obs.Default.Counter("rangeagg_plan_cache_hits_total"),
-		misses: obs.Default.Counter("rangeagg_plan_cache_misses_total"),
-		probes: obs.Default.Counter("rangeagg_plan_probes_total"),
-	}
+// New builds a planner; its ignored argument goes in perfbench's next change.
+func New(int) *Planner {
+	p := &Planner{probes: obs.Default.Counter("rangeagg_plan_probes_total")}
 	for i, name := range pathNames {
 		p.answers[i] = obs.Default.Counter("rangeagg_plan_answers_total", obs.L("path", name)...)
 		p.latency[i] = obs.Default.Histogram("rangeagg_plan_answer_seconds", obs.L("path", name)...)
@@ -167,12 +147,12 @@ func New(cacheEntries int) *Planner {
 	return p
 }
 
-// CacheStats reports the planner cache's cumulative hit/miss counters.
-func (p *Planner) CacheStats() CacheStats { return p.cache.Stats() }
+// CacheStats is always zero; it goes in perfbench's next change.
+type CacheStats struct{ Hits, Misses int64 }
 
 // Probes returns how many synopsis probes (estimate + bound
 // evaluations) this planner has performed — the work the model-less
-// skip rule and the cache save.
+// skip rule saves.
 func (p *Planner) Probes() int64 { return p.nprobes.Load() }
 
 // Query answers [a,b] from v by the cheapest path whose bound is within
@@ -216,31 +196,19 @@ func (p *Planner) query(v *View, pinned string, a, b int, maxErr float64) (Answe
 			// Under no budget (NaN) or an infinite one it still answers.
 			continue
 		}
-		key := Key{Metric: v.Metric, Source: src.Name, A: a, B: b, Version: v.Version}
-		val, hit := p.cache.get(key)
-		if hit {
-			p.hits.Inc()
-		} else {
-			p.misses.Inc()
-			p.probes.Inc()
-			p.nprobes.Add(1)
-			val.value = src.Estimate(a, b)
-			val.bound, val.rigorous, ok = src.Bound(a, b)
-			if !ok {
-				val.bound, val.rigorous = math.Inf(1), false
-			}
-			p.cache.put(key, val)
+		p.probes.Inc()
+		p.nprobes.Add(1)
+		value := src.Estimate(a, b)
+		bound, rigorous, ok := src.Bound(a, b)
+		if !ok {
+			bound, rigorous = math.Inf(1), false
 		}
-		if noBudget || val.bound <= maxErr {
+		if noBudget || bound <= maxErr {
 			path := PathProbe
-			switch {
-			case hit:
-				path = PathCache
-			case i > first:
+			if i > first {
 				path = PathEscalate
 			}
-			return Answer{Value: val.value, Bound: val.bound, Rigorous: val.rigorous,
-				Path: path, Source: src.Name}, nil
+			return Answer{Value: value, Bound: bound, Rigorous: rigorous, Path: path, Source: src.Name}, nil
 		}
 	}
 	if v.Exact == nil {

@@ -10,11 +10,9 @@ import (
 // bound of 10 and a fine one with a flat bound of 1, over domain 100,
 // with an exact fallback. Values are distinct per source so tests can
 // tell who answered.
-func testView(version int64) *View {
+func testView() *View {
 	v := &View{
-		Version: version,
-		Metric:  "count",
-		Domain:  100,
+		Domain: 100,
 		Sources: []Source{
 			{
 				Name: "fine", Words: 64,
@@ -34,7 +32,7 @@ func testView(version int64) *View {
 }
 
 func TestOrderSources(t *testing.T) {
-	v := testView(1)
+	v := testView()
 	if v.Sources[0].Name != "coarse" || v.Sources[1].Name != "fine" {
 		t.Fatalf("want coarse (8 words) before fine (64 words), got %q, %q",
 			v.Sources[0].Name, v.Sources[1].Name)
@@ -48,7 +46,7 @@ func TestOrderSources(t *testing.T) {
 
 func TestPlannerPaths(t *testing.T) {
 	p := New(1024)
-	v := testView(1)
+	v := testView()
 	noBudget := math.NaN()
 
 	// No budget: the cheapest source answers, path probe.
@@ -60,13 +58,14 @@ func TestPlannerPaths(t *testing.T) {
 		t.Fatalf("no-budget query: got %+v", ans)
 	}
 
-	// Same range again: served from cache.
-	ans, err = p.Query(v, "", 10, 19, noBudget)
+	// Same range again: probed again, same answer.
+	before := p.Probes()
+	again, err := p.Query(v, "", 10, 19, noBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ans.Path != PathCache || ans.Source != "coarse" {
-		t.Fatalf("repeat query should hit cache: got %+v", ans)
+	if again != ans || p.Probes()-before != 1 {
+		t.Fatalf("repeat query: got %+v after %d probes, want %+v after 1", again, p.Probes()-before, ans)
 	}
 
 	// Budget 5: coarse (bound 10) fails, fine (bound 1) answers.
@@ -107,8 +106,8 @@ func TestPlannerPaths(t *testing.T) {
 }
 
 func TestPlannerClampAndErrors(t *testing.T) {
-	p := New(0) // cache disabled: nil *Cache must be safe
-	v := testView(1)
+	p := New(0)
+	v := testView()
 
 	// Fully outside the domain: exact zero.
 	ans, err := p.Query(v, "", 200, 300, math.NaN())
@@ -145,7 +144,7 @@ func TestPlannerClampAndErrors(t *testing.T) {
 func TestPlannerSourceWithoutModel(t *testing.T) {
 	p := New(64)
 	v := &View{
-		Version: 1, Metric: "count", Domain: 10,
+		Domain: 10,
 		Sources: []Source{{
 			Name: "nomodel", Words: 4,
 			Estimate: func(a, b int) float64 { return 7 },
@@ -169,69 +168,8 @@ func TestPlannerSourceWithoutModel(t *testing.T) {
 	}
 }
 
-func TestCacheVersioning(t *testing.T) {
-	c := NewCache(256)
-	k1 := Key{Metric: "count", Source: "s", A: 0, B: 9, Version: 1}
-	c.put(k1, cached{value: 42, bound: 1, rigorous: true})
-	if _, ok := c.get(Key{Metric: "count", Source: "s", A: 0, B: 9, Version: 2}); ok {
-		t.Fatal("a new snapshot version must never hit an old entry")
-	}
-	got, ok := c.get(k1)
-	if !ok || got.value != 42 {
-		t.Fatalf("same-version lookup: got %+v ok=%v", got, ok)
-	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("stats: got %+v", st)
-	}
-}
-
-func TestCacheEviction(t *testing.T) {
-	// 16 entries = 1 per shard: inserting two keys landing in the same
-	// shard evicts the older.
-	c := NewCache(16)
-	var keys []Key
-	// Find two keys on the same shard.
-outer:
-	for a := 0; a < 64; a++ {
-		for b := a + 1; b < 64; b++ {
-			k1 := Key{Metric: "m", Source: "s", A: a, B: a, Version: 1}
-			k2 := Key{Metric: "m", Source: "s", A: b, B: b, Version: 1}
-			if c.shard(k1) == c.shard(k2) {
-				keys = []Key{k1, k2}
-				break outer
-			}
-		}
-	}
-	if keys == nil {
-		t.Fatal("no shard collision found in 64 keys")
-	}
-	c.put(keys[0], cached{value: 1})
-	c.put(keys[1], cached{value: 2})
-	if _, ok := c.get(keys[0]); ok {
-		t.Fatal("older entry should have been evicted")
-	}
-	if got, ok := c.get(keys[1]); !ok || got.value != 2 {
-		t.Fatalf("newest entry should survive: got %+v ok=%v", got, ok)
-	}
-}
-
-func TestNilCacheSafe(t *testing.T) {
-	var c *Cache
-	if _, ok := c.get(Key{}); ok {
-		t.Fatal("nil cache should never hit")
-	}
-	c.put(Key{}, cached{}) // must not panic
-	if st := c.Stats(); st != (CacheStats{}) {
-		t.Fatalf("nil cache stats: got %+v", st)
-	}
-	if c.Len() != 0 {
-		t.Fatal("nil cache should be empty")
-	}
-}
-
 func TestPathString(t *testing.T) {
-	want := map[Path]string{PathCache: "cache", PathProbe: "probe", PathEscalate: "escalate", PathExact: "exact"}
+	want := map[Path]string{PathProbe: "probe", PathEscalate: "escalate", PathExact: "exact"}
 	for p, s := range want {
 		if p.String() != s {
 			t.Errorf("Path %d: got %q want %q", int(p), p.String(), s)
@@ -248,9 +186,9 @@ func TestPathString(t *testing.T) {
 // before escalation moved on. The planner now skips such sources outright
 // for finite budgets; the probe counter proves no work is spent on them.
 func TestModelLessSkipSavesProbes(t *testing.T) {
-	p := New(0) // no cache: every probe is counted
+	p := New(0)
 	v := &View{
-		Version: 1, Metric: "count", Domain: 100,
+		Domain: 100,
 		Sources: []Source{
 			{
 				Name: "folded", Words: 4, NoModel: true,

@@ -28,7 +28,8 @@ import (
 //	POST /query/batch       {"synopsis","metric","ranges":[[a,b],...],"maxerr"}
 //	                        (bodies over MaxBatchBytes: 413)
 //	POST /ingest            {"inserts":[{"value","count"}],"deletes":[...]}
-//	POST /load              {"counts":[...]}
+//	                        (bodies over MaxBatchBytes: 413)
+//	POST /load              {"counts":[...]} (bodies over MaxLoadBytes: 413)
 //	POST /rebuild           force a snapshot rebuild now
 //	GET  /synopsis          ?name= — synopsis in the synquery wire format
 //	POST /synopsis/merge    ?name= — merge a shard's synopsis (wire format body)
@@ -179,8 +180,8 @@ func NewHandler(s *Server, m *Metrics) http.Handler {
 				Count int64 `json:"count"`
 			} `json:"deletes"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			return http.StatusBadRequest, fmt.Errorf("decoding ingest request: %w", err)
+		if status, err := DecodeJSONBody(w, r, MaxBatchBytes, &req, "ingest"); err != nil {
+			return status, err
 		}
 		for _, in := range req.Inserts {
 			if err := s.Insert(in.Value, in.Count); err != nil {
@@ -200,8 +201,8 @@ func NewHandler(s *Server, m *Metrics) http.Handler {
 		var req struct {
 			Counts []int64 `json:"counts"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			return http.StatusBadRequest, fmt.Errorf("decoding load request: %w", err)
+		if status, err := DecodeJSONBody(w, r, MaxLoadBytes(s.eng.Domain()), &req, "load"); err != nil {
+			return status, err
 		}
 		if err := s.Load(req.Counts); err != nil {
 			return http.StatusBadRequest, err
@@ -427,6 +428,21 @@ func appendBatchResponse(e *Encoder, results []Result, version int64) {
 	e.Raw(`],"version":`)
 	e.Int(version)
 	e.Raw("}")
+}
+
+// MaxLoadBytes caps a /load body over a domain of n values on nodes and
+// routers: 32 bytes per count (an int64 takes at most 20 characters and
+// a comma) plus 64 KiB for the envelope and whitespace.
+func MaxLoadBytes(n int) int64 { return 32*int64(n) + 64<<10 }
+
+// DecodeJSONBody decodes a JSON request body of at most limit bytes into
+// v; what names the request in errors. The returned status is 413 for an
+// oversized body, 400 for any other failure.
+func DecodeJSONBody(w http.ResponseWriter, r *http.Request, limit int64, v any, what string) (int, error) {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
+		return bodyError(err, "decoding "+what)
+	}
+	return 0, nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

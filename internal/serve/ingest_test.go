@@ -11,7 +11,6 @@ import (
 	"rangeagg/internal/histogram"
 	"rangeagg/internal/ingest"
 	"rangeagg/internal/method"
-	"rangeagg/internal/plan"
 	"rangeagg/internal/prefix"
 	"rangeagg/internal/segment"
 )
@@ -87,46 +86,51 @@ func TestServeIncrementalMaintains(t *testing.T) {
 	}
 }
 
-// TestServeMaintainedPublishFreshCache pins planner-cache freshness
-// across maintained publishes: a cached probe answer must not survive a
-// publish that absorbed new data — the epoch bump invalidates it.
-func TestServeMaintainedPublishFreshCache(t *testing.T) {
+// TestServeMaintainedPublishFresh pins answer freshness across
+// maintained publishes: a server that answered queries before an
+// absorbed write must, after the publish, answer exactly (==) what a
+// fresh server that saw the same data and writes but never served a
+// query answers — no answer outlives the snapshot it came from.
+func TestServeMaintainedPublishFresh(t *testing.T) {
 	_, s := newIngestServer(t, 256, incrementalCfg())
-	if err := s.Rebuild(); err != nil {
-		t.Fatal(err)
+	_, fresh := newIngestServer(t, 256, incrementalCfg())
+	ranges := [][2]int{{20, 120}, {0, 255}, {55, 65}, {130, 250}}
+	queries := func(srv *Server) []Result {
+		var out []Result
+		for _, name := range []string{"flat", "seg"} {
+			for _, r := range ranges {
+				res, _ := srv.QueryOne(Query{Synopsis: name, A: r[0], B: r[1]})
+				if res.Err != nil {
+					t.Fatal(res.Err)
+				}
+				out = append(out, res)
+			}
+		}
+		return out
 	}
-	res, _ := s.QueryOne(Query{Synopsis: "flat", A: 20, B: 120})
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	again, _ := s.QueryOne(Query{Synopsis: "flat", A: 20, B: 120})
-	if again.Path != plan.PathCache {
-		t.Fatalf("repeat before publish: path %v, want cache hit", again.Path)
-	}
+	before := queries(s)
 
-	// Mass lands inside the queried range; the publish is a maintained
-	// absorb, not a rebuild — the cache must still be invalidated.
-	if err := s.Insert(60, 10_000); err != nil {
-		t.Fatal(err)
+	// Mass lands inside the queried ranges; the publish is a maintained
+	// absorb, not a rebuild.
+	for _, srv := range []*Server{s, fresh} {
+		if err := srv.Insert(60, 10_000); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Rebuild(); err != nil {
+			t.Fatal(err)
+		}
+		if st := srv.IngestStats(); st.Absorbed == 0 || st.Escalated != 0 {
+			t.Fatalf("publish did not maintain: %+v", st)
+		}
 	}
-	if err := s.Rebuild(); err != nil {
-		t.Fatal(err)
+	after, want := queries(s), queries(fresh)
+	for i := range after {
+		if after[i] != want[i] {
+			t.Fatalf("query %d after a maintained publish: got %+v, a fresh server answers %+v", i, after[i], want[i])
+		}
 	}
-	if st := s.IngestStats(); st.Absorbed == 0 {
-		t.Fatalf("publish did not maintain: %+v", st)
-	}
-	after, _ := s.QueryOne(Query{Synopsis: "flat", A: 20, B: 120})
-	if after.Err != nil {
-		t.Fatal(after.Err)
-	}
-	if after.Path == plan.PathCache {
-		t.Fatal("stale cache hit served across a maintained publish")
-	}
-	// The bucket holding value 60 may stretch past the query range, so
-	// only part of the absorbed mass lands in the estimate — but the jump
-	// must still dwarf the pre-insert answer.
-	if math.Abs(after.Value-res.Value) < 1_000 {
-		t.Fatalf("maintained publish not visible: %g vs %g before 10k inserts in range", after.Value, res.Value)
+	if after[0].Value == before[0].Value {
+		t.Fatalf("maintained publish not visible: %g both before and after 10k inserts in range", after[0].Value)
 	}
 	// And the exact path agrees with the engine post-publish.
 	zero := 0.0

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
@@ -49,9 +48,8 @@ func TestPlannerQueryPaths(t *testing.T) {
 		t.Fatalf("bound %g does not cover residual %g", res.Bound, res.Value-exact)
 	}
 
-	// Repeat: cache hit, same answer.
-	res2, _ := s.QueryOne(Query{Synopsis: "h", A: 5, B: 40})
-	if res2.Path != plan.PathCache || res2.Value != res.Value || res2.Bound != res.Bound {
+	// Repeat: same answer.
+	if res2, _ := s.QueryOne(Query{Synopsis: "h", A: 5, B: 40}); res2 != res {
 		t.Fatalf("repeat query: %+v (first %+v)", res2, res)
 	}
 
@@ -158,48 +156,6 @@ type staleAnswer struct {
 
 func (e *staleAnswer) Error() string {
 	return fmt.Sprintf("stale answer: got %g, want %g at version %d", e.got, e.want, e.version)
-}
-
-// TestZipfWorkloadHitRate checks the hot-range cache earns its keep on
-// a skewed workload: a zipf-popular pool of ranges queried repeatedly
-// against one snapshot must hit more than half the time.
-func TestZipfWorkloadHitRate(t *testing.T) {
-	eng, s := newTestServer(t, 256, Config{})
-	counts := make([]int64, 256)
-	for i := range counts {
-		counts[i] = int64((i * 13) % 31)
-	}
-	if err := eng.Load(counts); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-
-	rng := rand.New(rand.NewSource(3))
-	zipf := rand.NewZipf(rng, 1.4, 4, 63) // 64 distinct ranges, heavily skewed
-	pool := make([][2]int, 64)
-	for i := range pool {
-		a := rng.Intn(200)
-		pool[i] = [2]int{a, a + rng.Intn(55)}
-	}
-	before := s.CacheStats()
-	const queries = 2000
-	for i := 0; i < queries; i++ {
-		r := pool[zipf.Uint64()]
-		res, _ := s.QueryOne(Query{Synopsis: "h", A: r[0], B: r[1]})
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-	}
-	st := s.CacheStats()
-	hits, misses := st.Hits-before.Hits, st.Misses-before.Misses
-	if total := hits + misses; total < queries {
-		t.Fatalf("expected at least %d lookups, saw %d", queries, total)
-	}
-	if rate := float64(hits) / float64(hits+misses); rate <= 0.5 {
-		t.Fatalf("zipf workload hit rate %.3f, want > 0.5 (hits %d, misses %d)", rate, hits, misses)
-	}
 }
 
 // TestServeTypedErrors checks the serving layer fails unknown-name

@@ -50,9 +50,6 @@ type Config struct {
 	// FanOut is the smallest batch QueryBatch spreads over the worker
 	// pool; smaller batches evaluate inline (default 128).
 	FanOut int
-	// CacheEntries sizes the planner's hot-range answer cache (default
-	// 4096 entries); a negative value disables caching.
-	CacheEntries int
 	// ApproxCutover is the domain size at and above which snapshot
 	// rebuilds construct through a method's (1+ε)-approximate
 	// counterpart (registered specs keep their original options). 0
@@ -92,9 +89,6 @@ func (c Config) withDefaults() Config {
 	if c.FanOut <= 0 {
 		c.FanOut = 128
 	}
-	if c.CacheEntries == 0 {
-		c.CacheEntries = 4096
-	}
 	return c
 }
 
@@ -105,7 +99,7 @@ type Server struct {
 	cfg Config
 
 	// planner routes budgeted and synopsis queries through the cheapest
-	// path meeting each one's error bound, caching hot ranges.
+	// path meeting each one's error bound.
 	planner *plan.Planner
 
 	snap atomic.Pointer[Snapshot]
@@ -206,11 +200,7 @@ func New(eng *engine.Engine, specs []engine.SynopsisSpec, cfg Config) (*Server, 
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 	}
-	cacheEntries := s.cfg.CacheEntries
-	if cacheEntries < 0 {
-		cacheEntries = 0 // plan.New(≤0) disables the cache
-	}
-	s.planner = plan.New(cacheEntries)
+	s.planner = plan.New(0)
 	for _, sh := range cfg.RecoveredShards {
 		for _, sp := range s.specs {
 			if sp.Name == sh.Name {
@@ -507,13 +497,12 @@ func (s *Server) QueryOne(q Query) (Result, int64) {
 	return s.answer(snap, q), snap.Version
 }
 
-// CacheStats reports the planner's hot-range cache hit/miss counters.
-func (s *Server) CacheStats() plan.CacheStats { return s.planner.CacheStats() }
+// CacheStats returns zeros; it goes in perfbench's next change.
+func (s *Server) CacheStats() plan.CacheStats { return plan.CacheStats{} }
 
 // answer resolves one query against a pinned snapshot. Synopsis-less
 // queries without a budget take the exact fast path; everything else
-// goes through the planner, which attaches the error bound and caches
-// hot ranges under the snapshot's version.
+// goes through the planner, which attaches the error bound.
 func (s *Server) answer(snap *Snapshot, q Query) Result {
 	if q.Synopsis == "" && q.MaxErr == nil {
 		return Result{Value: float64(snap.exact(q.Metric, q.A, q.B)),

@@ -43,10 +43,9 @@ type Snapshot struct {
 	sum   *prefix.Table // exact SUM path
 	syns  map[string]*Synopsis
 
-	// epoch is the publish sequence number keying the planner cache. It
-	// is NOT Version: shard merges and spec changes publish new snapshots
-	// (new estimators, same engine data), so the data version alone would
-	// let cached answers leak across them.
+	// epoch is the publish sequence number /healthz reports. It is NOT
+	// Version: shard merges and spec changes publish new snapshots (new
+	// estimators, same engine data) without bumping the data version.
 	epoch int64
 	// views are the planner's per-metric pictures of the snapshot
 	// (indexed by engine.Count/engine.Sum), built once at publish time.
@@ -110,10 +109,8 @@ func (s *Snapshot) buildViews() {
 			tab = s.sum
 		}
 		v := &plan.View{
-			Version: s.epoch,
-			Metric:  m.String(),
-			Domain:  s.Domain,
-			Exact:   func(a, b int) float64 { return float64(tab.Sum(a, b)) },
+			Domain: s.Domain,
+			Exact:  func(a, b int) float64 { return float64(tab.Sum(a, b)) },
 		}
 		for _, syn := range s.syns {
 			if syn.Metric != m {

@@ -62,14 +62,20 @@ func ReadBody(dst []byte, r io.Reader) ([]byte, error) {
 func ReadBatchBody(dst []byte, w http.ResponseWriter, r *http.Request) ([]byte, int, error) {
 	dst, err := ReadBody(dst, http.MaxBytesReader(w, r.Body, MaxBatchBytes))
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return dst, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("batch request body exceeds %d bytes", tooBig.Limit)
-		}
-		return dst, http.StatusBadRequest, fmt.Errorf("reading batch request: %w", err)
+		status, err := bodyError(err, "reading batch")
+		return dst, status, err
 	}
 	return dst, 0, nil
+}
+
+// bodyError classifies a failed request-body read: 413 when the body
+// passed its cap, 400 with "<action> request: err" otherwise.
+func bodyError(err error, action string) (int, error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)
+	}
+	return http.StatusBadRequest, fmt.Errorf("%s request: %w", action, err)
 }
 
 // BatchRequest is the /query/batch request body:

@@ -331,6 +331,39 @@ func TestBatchBodyLimit(t *testing.T) {
 	postJSON(t, ts.URL+"/query/batch", map[string]any{"ranges": [][2]int{{0, 10}}}, http.StatusOK)
 }
 
+// TestWriteBodyLimits: oversized /ingest and /load bodies are refused
+// with a 413 and a JSON error before anything is applied; /ingest is
+// capped at MaxBatchBytes and /load at MaxLoadBytes of the domain.
+func TestWriteBodyLimits(t *testing.T) {
+	s, _, ts := newTestHandler(t)
+	version := s.eng.Version()
+	loadCap := int(MaxLoadBytes(s.eng.Domain()))
+	for _, tc := range []struct{ path, body string }{
+		{"/ingest", strings.Repeat(" ", MaxBatchBytes) + `{"inserts":[{"value":1,"count":1}]}`},
+		{"/load", `{"counts":[` + strings.Repeat("0,", loadCap/2) + `0]}`},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out map[string]string
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(out["error"], "exceeds") {
+			t.Fatalf("%s: status %d, body %v; want 413 with an error", tc.path, resp.StatusCode, out)
+		}
+	}
+	if got := s.eng.Version(); got != version {
+		t.Fatalf("refused writes moved the data version %d → %d", version, got)
+	}
+	// Bodies inside the caps still apply.
+	postJSON(t, ts.URL+"/ingest", map[string]any{"inserts": []map[string]int{{"value": 1, "count": 1}}}, http.StatusOK)
+	postJSON(t, ts.URL+"/load", map[string]any{"counts": make([]int64, 64)}, http.StatusOK)
+}
+
 // TestBatchNonFiniteAnswer: an answer JSON cannot carry fails the
 // request with a 500 and a JSON error before any header is written —
 // not a 200 with an empty body the router would mistake for a transient

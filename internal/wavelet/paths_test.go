@@ -128,17 +128,10 @@ func TestDuplicateCoefficientIndexRejected(t *testing.T) {
 		}
 	}
 	dup := []Coefficient{{Index: 2, Value: 1}, {Index: 2, Value: 5}}
-	for name, build := range map[string]func(){
-		"Data":   func() { NewDataFromCoefficients(3, 4, dup, "dup") },
-		"Prefix": func() { NewPrefixFromCoefficients(3, 4, dup, "dup") },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("New%sFromCoefficients accepted a duplicated index", name)
-				}
-			}()
-			build()
-		}()
+	if _, err := newDataFromCoeffs(3, 4, dup, "dup"); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Errorf("newDataFromCoeffs accepted a duplicated index (err=%v)", err)
+	}
+	if _, err := newPrefixFromCoeffs(3, 4, dup, "dup"); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Errorf("newPrefixFromCoeffs accepted a duplicated index (err=%v)", err)
 	}
 }

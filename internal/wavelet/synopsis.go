@@ -190,35 +190,6 @@ func NewPrefixTopB(tab *prefix.Table, b int) (*PrefixSynopsis, error) {
 	return newPrefixFromCoeffs(n, len(padded), kept, "WAVE-PREFIX-TOPB")
 }
 
-// NewPrefixFromCoefficients assembles a prefix-domain synopsis from an
-// explicit coefficient set (used by the dynamic maintainer in
-// internal/stream). The indices must lie in [0, pow) with pow a power of
-// two ≥ n+1, and distinct.
-func NewPrefixFromCoefficients(n, pow int, kept []Coefficient, label string) *PrefixSynopsis {
-	if pow < n+1 || pow&(pow-1) != 0 {
-		panic(fmt.Sprintf("wavelet: invalid prefix transform length %d for n=%d", pow, n))
-	}
-	s, err := newPrefixFromCoeffs(n, pow, kept, label)
-	if err != nil {
-		panic(err.Error())
-	}
-	return s
-}
-
-// NewDataFromCoefficients assembles a data-domain synopsis from an
-// explicit coefficient set (used by the dynamic maintainer). The indices
-// must lie in [0, pow) and be distinct.
-func NewDataFromCoefficients(n, pow int, kept []Coefficient, label string) *DataSynopsis {
-	if pow < n || pow&(pow-1) != 0 {
-		panic(fmt.Sprintf("wavelet: invalid transform length %d for n=%d", pow, n))
-	}
-	s, err := newDataFromCoeffs(n, pow, kept, label)
-	if err != nil {
-		panic(err.Error())
-	}
-	return s
-}
-
 func newPrefixFromCoeffs(n, pow int, kept []Coefficient, label string) (*PrefixSynopsis, error) {
 	kept, lookup, err := indexCoefficients(kept, pow)
 	if err != nil {

@@ -136,7 +136,10 @@ func TestRangeOptIsOptimalAmongSubsets(t *testing.T) {
 		for i, k := range perm {
 			kept[i] = Coefficient{Index: k, Value: full[k]}
 		}
-		cand := NewPrefixFromCoefficients(tab.N(), pow, kept, "cand")
+		cand, err := newPrefixFromCoeffs(tab.N(), pow, kept, "cand")
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got := bruteSSE(tab, cand); got < optSSE-1e-6*(1+optSSE) {
 			t.Fatalf("subset %v SSE %g beats range-opt %g", perm, got, optSSE)
 		}
