@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench benchdiff bench-baseline fuzz-smoke cover lint loc
+.PHONY: build test race bench benchdiff bench-baseline fuzz-smoke cover lint loc perfbench-check
 
 build:
 	$(GO) build ./...
@@ -50,6 +50,12 @@ cover:
 lint:
 	$(GO) vet ./...
 	$(GO) run ./scripts/switchlint
+
+# perfbench (the benchmark BENCHMARK.json runs) is a module of its own,
+# so ./... leaves it out although it compiles against the engine, WAL
+# and serving packages: vet, build and self-test it (~20 s).
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null . && $(GO) test -count=1 ./...
 
 # Non-test Go lines of the root module (perfbench is a module of its
 # own, so ./... leaves it out): the net-lines-removed figure changes

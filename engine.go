@@ -1,7 +1,6 @@
 package rangeagg
 
 import (
-	"rangeagg/internal/build"
 	"rangeagg/internal/engine"
 	"rangeagg/internal/sse"
 )
@@ -25,7 +24,14 @@ func (m Metric) String() string { return engine.Metric(m).String() }
 // selectivity-estimation substrate the paper assumes. It is safe for
 // concurrent use.
 type Engine struct {
-	inner *engine.Engine
+	catalog
+}
+
+// catalog is the read surface Engine and Durable share: exact answers
+// from the distribution and approximate ones from the named synopses,
+// with every internal error translated to its public type.
+type catalog struct {
+	eng *engine.Engine
 }
 
 // NewEngine creates an engine for attribute values in [0, domain).
@@ -34,66 +40,79 @@ func NewEngine(name string, domain int) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{inner: e}, nil
+	return &Engine{catalog{eng: e}}, nil
 }
 
 // Load bulk-inserts counts per attribute value; len(counts) must equal the
 // domain size.
-func (e *Engine) Load(counts []int64) error { return e.inner.Load(counts) }
+func (e *Engine) Load(counts []int64) error { return e.eng.Load(counts) }
 
 // Insert adds occurrences records with the given attribute value.
 func (e *Engine) Insert(value int, occurrences int64) error {
-	return e.inner.Insert(value, occurrences)
+	return e.eng.Insert(value, occurrences)
 }
 
 // Delete removes occurrences records with the given attribute value.
 func (e *Engine) Delete(value int, occurrences int64) error {
-	return e.inner.Delete(value, occurrences)
+	return e.eng.Delete(value, occurrences)
 }
-
-// Domain returns the attribute domain size.
-func (e *Engine) Domain() int { return e.inner.Domain() }
-
-// Records returns the total number of records.
-func (e *Engine) Records() int64 { return e.inner.Records() }
-
-// Counts returns a copy of the current distribution.
-func (e *Engine) Counts() []int64 { return e.inner.Counts() }
-
-// ExactCount answers COUNT(*) WHERE a ≤ attr ≤ b exactly, with the range
-// clamped to the domain.
-func (e *Engine) ExactCount(a, b int) int64 { return e.inner.ExactCount(a, b) }
-
-// ExactSum answers SUM(attr) WHERE a ≤ attr ≤ b exactly.
-func (e *Engine) ExactSum(a, b int) int64 { return e.inner.ExactSum(a, b) }
 
 // BuildSynopsis constructs and registers a synopsis under the given name,
 // replacing any existing one.
 func (e *Engine) BuildSynopsis(name string, metric Metric, opt Options) error {
-	im, err := opt.Method.resolve()
+	bo, err := opt.internal()
 	if err != nil {
 		return err
 	}
-	_, err = e.inner.BuildSynopsis(name, engine.Metric(metric), build.Options{
-		Method:      im,
-		BudgetWords: opt.BudgetWords,
-		Reopt:       opt.Reopt,
-		Seed:        opt.Seed,
-		Epsilon:     opt.Epsilon,
-		RoundedX:    opt.RoundedX,
-		MaxStates:   opt.MaxStates,
-		CoarsenTo:   opt.CoarsenTo,
-		LocalSearch: opt.LocalSearch,
-	})
+	_, err = e.eng.BuildSynopsis(name, engine.Metric(metric), bo)
 	return err
 }
 
 // DropSynopsis removes a named synopsis, reporting whether it existed.
-func (e *Engine) DropSynopsis(name string) bool { return e.inner.DropSynopsis(name) }
+func (e *Engine) DropSynopsis(name string) bool { return e.eng.DropSynopsis(name) }
+
+// MergeFrom absorbs a shard engine built over the same domain: the
+// shard's records are added to this engine's distribution and its named
+// synopsis is merged into this engine's (adopted if absent), so exact
+// queries and the merged synopsis both cover the union of the two record
+// sets afterwards, and the synopsis answers every range with exactly the
+// sum of the shards' answers. The method must have the "mergeable"
+// capability — the average-representation histogram family.
+func (e *Engine) MergeFrom(other *Engine, name string) error {
+	_, err := e.eng.MergeFrom(other.eng, name)
+	return wrapEngineErr(err)
+}
+
+// Refresh rebuilds a registered synopsis from the current data.
+func (e *Engine) Refresh(name string) error {
+	_, err := e.eng.Refresh(name)
+	return wrapEngineErr(err)
+}
+
+// SetAutoRefresh enables synopsis maintenance: any synopsis more than
+// threshold mutations stale is rebuilt synchronously before answering a
+// query. threshold ≤ 0 disables the policy (the default).
+func (e *Engine) SetAutoRefresh(threshold int64) { e.eng.SetAutoRefresh(threshold) }
+
+// Domain returns the attribute domain size.
+func (c *catalog) Domain() int { return c.eng.Domain() }
+
+// Records returns the total number of records.
+func (c *catalog) Records() int64 { return c.eng.Records() }
+
+// Counts returns a copy of the current distribution.
+func (c *catalog) Counts() []int64 { return c.eng.Counts() }
+
+// ExactCount answers COUNT(*) WHERE a ≤ attr ≤ b exactly, with the range
+// clamped to the domain.
+func (c *catalog) ExactCount(a, b int) int64 { return c.eng.ExactCount(a, b) }
+
+// ExactSum answers SUM(attr) WHERE a ≤ attr ≤ b exactly.
+func (c *catalog) ExactSum(a, b int) int64 { return c.eng.ExactSum(a, b) }
 
 // SynopsisNames lists the registered synopsis names, sorted.
-func (e *Engine) SynopsisNames() []string {
-	list := e.inner.Synopses()
+func (c *catalog) SynopsisNames() []string {
+	list := c.eng.Synopses()
 	out := make([]string, len(list))
 	for i, s := range list {
 		out[i] = s.Name
@@ -119,8 +138,8 @@ type SynopsisInfo struct {
 }
 
 // Describe reports metadata for a registered synopsis.
-func (e *Engine) Describe(name string) (SynopsisInfo, error) {
-	s, err := e.inner.Synopsis(name)
+func (c *catalog) Describe(name string) (SynopsisInfo, error) {
+	s, err := c.eng.Synopsis(name)
 	if err != nil {
 		return SynopsisInfo{}, wrapEngineErr(err)
 	}
@@ -129,27 +148,15 @@ func (e *Engine) Describe(name string) (SynopsisInfo, error) {
 		Method:       s.Est.Name(),
 		Metric:       Metric(s.Metric),
 		StorageWords: s.Est.StorageWords(),
-		Stale:        e.inner.Stale(s),
+		Stale:        c.eng.Stale(s),
 		Capabilities: Method(s.Options.Method).Capabilities(),
 	}, nil
 }
 
-// MergeFrom absorbs a shard engine built over the same domain: the
-// shard's records are added to this engine's distribution and its named
-// synopsis is merged into this engine's (adopted if absent), so exact
-// queries and the merged synopsis both cover the union of the two record
-// sets afterwards, and the synopsis answers every range with exactly the
-// sum of the shards' answers. The method must have the "mergeable"
-// capability — the average-representation histogram family.
-func (e *Engine) MergeFrom(other *Engine, name string) error {
-	_, err := e.inner.MergeFrom(other.inner, name)
-	return wrapEngineErr(err)
-}
-
 // Approx answers a range aggregate from a named synopsis; the range is
 // clamped to the domain. An unknown name yields *UnknownSynopsisError.
-func (e *Engine) Approx(name string, a, b int) (float64, error) {
-	v, err := e.inner.Approx(name, a, b)
+func (c *catalog) Approx(name string, a, b int) (float64, error) {
+	v, err := c.eng.Approx(name, a, b)
 	return v, wrapEngineErr(err)
 }
 
@@ -167,12 +174,9 @@ type ApproxAnswer struct {
 // the synopsis's per-range error bound, computed at build time against
 // the data the synopsis summarized. A fully-outside range returns the
 // exact answer 0 with a zero bound.
-func (e *Engine) ApproxWithError(name string, a, b int) (ApproxAnswer, error) {
-	ans, err := e.inner.ApproxWithError(name, a, b)
-	if err != nil {
-		return ApproxAnswer{}, wrapEngineErr(err)
-	}
-	return ApproxAnswer{Value: ans.Value, ErrBound: ans.ErrBound, Rigorous: ans.Rigorous}, nil
+func (c *catalog) ApproxWithError(name string, a, b int) (ApproxAnswer, error) {
+	ans, err := c.eng.ApproxWithError(name, a, b)
+	return ApproxAnswer(ans), wrapEngineErr(err)
 }
 
 // ApproxBatch answers a batch of range aggregates from one named synopsis.
@@ -181,47 +185,24 @@ func (e *Engine) ApproxWithError(name string, a, b int) (ApproxAnswer, error) {
 // than per-query calls; every answer comes from the same estimator even
 // if the synopsis is rebuilt concurrently. Ranges are clamped to the
 // domain.
-func (e *Engine) ApproxBatch(name string, queries []Range) ([]float64, error) {
-	qs := make([]sse.Range, len(queries))
-	for i, q := range queries {
-		qs[i] = sse.Range{A: q.A, B: q.B}
-	}
-	vs, err := e.inner.ApproxBatch(name, qs)
+func (c *catalog) ApproxBatch(name string, queries []Range) ([]float64, error) {
+	vs, err := c.eng.ApproxBatch(name, sseRanges(queries))
 	return vs, wrapEngineErr(err)
-}
-
-// Refresh rebuilds a registered synopsis from the current data.
-func (e *Engine) Refresh(name string) error {
-	_, err := e.inner.Refresh(name)
-	return wrapEngineErr(err)
 }
 
 // Report evaluates a synopsis's error over a workload against the current
 // exact data.
-func (e *Engine) Report(name string, queries []Range) (Metrics, error) {
-	qs := make([]sse.Range, len(queries))
-	for i, q := range queries {
-		qs[i] = sse.Range{A: q.A, B: q.B}
-	}
-	m, err := e.inner.Report(name, qs)
-	if err != nil {
-		return Metrics{}, wrapEngineErr(err)
-	}
-	return Metrics{Queries: m.Queries, SSE: m.SSE, MAE: m.MAE,
-		MaxAbs: m.MaxAbs, RMS: m.RMS, MeanRel: m.MeanRel}, nil
+func (c *catalog) Report(name string, queries []Range) (Metrics, error) {
+	m, err := c.eng.Report(name, sseRanges(queries))
+	return Metrics(m), wrapEngineErr(err)
 }
 
 // SynopsisSSE returns the exact SSE of a registered synopsis over all
 // ranges of the current data.
-func (e *Engine) SynopsisSSE(name string) (float64, error) {
-	v, err := e.inner.SSE(name)
+func (c *catalog) SynopsisSSE(name string) (float64, error) {
+	v, err := c.eng.SSE(name)
 	return v, wrapEngineErr(err)
 }
-
-// SetAutoRefresh enables synopsis maintenance: any synopsis more than
-// threshold mutations stale is rebuilt synchronously before answering a
-// query. threshold ≤ 0 disables the policy (the default).
-func (e *Engine) SetAutoRefresh(threshold int64) { e.inner.SetAutoRefresh(threshold) }
 
 // ProgressiveStep is one state of an online-refined answer: Estimate
 // blends exact mass over the scanned prefix of the range with the
@@ -235,14 +216,22 @@ type ProgressiveStep struct {
 // Progressive answers a range aggregate in the online-aggregation style:
 // step 0 is the instant synopsis estimate, later steps refine it by exact
 // scanning, and the final step is exact.
-func (e *Engine) Progressive(name string, a, b, chunks int) ([]ProgressiveStep, error) {
-	steps, err := e.inner.Progressive(name, a, b, chunks)
+func (c *catalog) Progressive(name string, a, b, chunks int) ([]ProgressiveStep, error) {
+	steps, err := c.eng.Progressive(name, a, b, chunks)
 	if err != nil {
 		return nil, wrapEngineErr(err)
 	}
 	out := make([]ProgressiveStep, len(steps))
 	for i, s := range steps {
-		out[i] = ProgressiveStep{Scanned: s.Scanned, Of: s.Of, Estimate: s.Estimate}
+		out[i] = ProgressiveStep(s)
 	}
 	return out, nil
+}
+
+func sseRanges(queries []Range) []sse.Range {
+	qs := make([]sse.Range, len(queries))
+	for i, q := range queries {
+		qs[i] = sse.Range(q)
+	}
+	return qs
 }

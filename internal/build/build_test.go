@@ -202,3 +202,54 @@ func TestRoundingPlumbed(t *testing.T) {
 		}
 	}
 }
+
+// TestWithApprox pins the cutover substitution rebuilds construct
+// through: 0 selects DefaultApproxCutover (32768), a domain at or above
+// the cutover substitutes the registered approximate counterpart, a
+// negative cutover disables it, and CoarsenTo > 0 or a method without a
+// counterpart leaves the options unchanged. ε defaults to 0.1 unless the
+// caller pinned one in (0,1).
+func TestWithApprox(t *testing.T) {
+	if DefaultApproxCutover != 32768 {
+		t.Fatalf("DefaultApproxCutover = %d, want 32768", DefaultApproxCutover)
+	}
+	a0 := Options{Method: method.A0, BudgetWords: 12}
+	sub := func(o Options, m method.ID, eps float64) Options {
+		o.Method, o.Epsilon = m, eps
+		return o
+	}
+	coarse := a0
+	coarse.CoarsenTo = 64
+	pinned := a0
+	pinned.Epsilon = 0.25
+	badEps := a0
+	badEps.Epsilon = 1.5
+	for _, c := range []struct {
+		name            string
+		opt             Options
+		domain, cutover int
+		want            Options
+	}{
+		{"default cutover, below", a0, 32767, 0, a0},
+		{"default cutover, at", a0, 32768, 0, sub(a0, method.A0Approx, 0.1)},
+		{"explicit cutover, below", a0, 63, 64, a0},
+		{"explicit cutover, at", a0, 64, 64, sub(a0, method.A0Approx, 0.1)},
+		{"explicit cutover, above", a0, 1000, 64, sub(a0, method.A0Approx, 0.1)},
+		{"negative cutover disables", a0, 1 << 20, -1, a0},
+		{"coarsen-lift wins", coarse, 1 << 20, 64, coarse},
+		{"pinned epsilon kept", pinned, 64, 64, sub(a0, method.A0Approx, 0.25)},
+		{"out-of-range epsilon defaulted", badEps, 64, 64, sub(a0, method.A0Approx, 0.1)},
+		{"SAP0 substitutes", Options{Method: method.SAP0, BudgetWords: 12}, 64, 64,
+			Options{Method: method.SAP0Approx, BudgetWords: 12, Epsilon: 0.1}},
+		{"POINT-OPT substitutes", Options{Method: method.PointOpt, BudgetWords: 12}, 64, 64,
+			Options{Method: method.PointOptApprox, BudgetWords: 12, Epsilon: 0.1}},
+		{"no counterpart", Options{Method: method.SAP1, BudgetWords: 20}, 64, 64,
+			Options{Method: method.SAP1, BudgetWords: 20}},
+		{"already approximate", sub(a0, method.A0Approx, 0.3), 64, 64, sub(a0, method.A0Approx, 0.3)},
+	} {
+		if got := WithApprox(c.opt, c.domain, c.cutover); got != c.want {
+			t.Errorf("%s: WithApprox(%+v, %d, %d) = %+v, want %+v",
+				c.name, c.opt, c.domain, c.cutover, got, c.want)
+		}
+	}
+}

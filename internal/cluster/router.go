@@ -301,6 +301,30 @@ func (r *Router) splitBudget(maxErr *float64, weights []int) []float64 {
 func (r *Router) subQuery(ctx context.Context, q Query, p Part, budget float64) (plan.Answer, int64, WindowReport, bool) {
 	node := &r.topo.Nodes[p.Node]
 	rep := WindowReport{Window: p.Window, Node: node.ID}
+	var ans plan.Answer
+	var version int64
+	if !r.failover(ctx, node, &rep, func(ep string) (err error) {
+		ans, version, err = r.queryEndpoint(ctx, ep, q, p.Window, budget)
+		return err
+	}) {
+		return plan.Answer{}, 0, rep, false
+	}
+	rep.Path = ans.Path.String()
+	if ans.Bound == 0 && ans.Rigorous {
+		rep.Status = "exact"
+	} else {
+		rep.Status = "approx"
+	}
+	return ans, version, rep, true
+}
+
+// failover runs one sub-request against a node, trying its endpoints in
+// health order: at most maxAttempts attempts with exponential backoff
+// between them, stopping early on a permanent error or cancellation. It
+// records the attempts in rep — Endpoint and Replica on success, Err
+// and the "failed" status otherwise — and reports whether an attempt
+// succeeded; the caller sets the served status.
+func (r *Router) failover(ctx context.Context, node *Node, rep *WindowReport, try func(endpoint string) error) bool {
 	endpoints := r.health.order(node.Endpoints())
 	maxAttempts := r.maxAttempts(node)
 	for attempt := 0; attempt < maxAttempts; attempt++ {
@@ -309,25 +333,19 @@ func (r *Router) subQuery(ctx context.Context, q Query, p Part, budget float64) 
 			r.backoff(ctx, attempt)
 			if ctx.Err() != nil {
 				rep.Status, rep.Err = "failed", ctx.Err().Error()
-				return plan.Answer{}, 0, rep, false
+				return false
 			}
 		}
 		ep := endpoints[attempt%len(endpoints)]
 		rep.Attempts = attempt + 1
-		ans, version, err := r.queryEndpoint(ctx, ep, q, p.Window, budget)
+		err := try(ep)
 		if err == nil {
 			rep.Endpoint = ep
 			rep.Replica = ep != node.Addr
-			rep.Path = ans.Path.String()
-			if ans.Bound == 0 && ans.Rigorous {
-				rep.Status = "exact"
-			} else {
-				rep.Status = "approx"
-			}
 			if rep.Replica {
 				failoversTotal.Inc()
 			}
-			return ans, version, rep, true
+			return true
 		}
 		rep.Err = err.Error()
 		var pe *permanentError
@@ -336,7 +354,7 @@ func (r *Router) subQuery(ctx context.Context, q Query, p Part, budget float64) 
 		}
 	}
 	rep.Status = "failed"
-	return plan.Answer{}, 0, rep, false
+	return false
 }
 
 // queryEndpoint performs one GET /query attempt against one endpoint.
@@ -557,8 +575,6 @@ func (r *Router) RouteBatch(ctx context.Context, synopsis, metric string, ranges
 func (r *Router) batchNode(ctx context.Context, ni int, synopsis, metric string, subRanges [][2]int, budget float64, reply *serve.BatchReply) (WindowReport, bool) {
 	node := &r.topo.Nodes[ni]
 	rep := WindowReport{Window: node.Window, Node: node.ID}
-	endpoints := r.health.order(node.Endpoints())
-	maxAttempts := r.maxAttempts(node)
 	// The body is encoded once and never pooled: the transport may still
 	// be reading a request body after Do returns.
 	var enc serve.Encoder
@@ -569,45 +585,19 @@ func (r *Router) batchNode(ctx context.Context, ni int, synopsis, metric string,
 		rep.Status, rep.Err = "failed", err.Error()
 		return rep, false
 	}
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if attempt > 0 {
-			retriesTotal.Inc()
-			r.backoff(ctx, attempt)
-			if ctx.Err() != nil {
-				rep.Status, rep.Err = "failed", ctx.Err().Error()
-				return rep, false
-			}
-		}
-		ep := endpoints[attempt%len(endpoints)]
-		rep.Attempts = attempt + 1
-		err := r.batchEndpoint(ctx, ep, body, len(subRanges), reply)
-		if err == nil {
-			rep.Endpoint = ep
-			rep.Replica = ep != node.Addr
+	if !r.failover(ctx, node, &rep, func(ep string) error {
+		return r.batchEndpoint(ctx, ep, body, len(subRanges), reply)
+	}) {
+		return rep, false
+	}
+	rep.Status = "exact"
+	for _, e := range reply.Errs {
+		if e != 0 {
 			rep.Status = "approx"
-			allExact := true
-			for _, e := range reply.Errs {
-				if e != 0 {
-					allExact = false
-					break
-				}
-			}
-			if allExact {
-				rep.Status = "exact"
-			}
-			if rep.Replica {
-				failoversTotal.Inc()
-			}
-			return rep, true
-		}
-		rep.Err = err.Error()
-		var pe *permanentError
-		if errors.As(err, &pe) {
 			break
 		}
 	}
-	rep.Status = "failed"
-	return rep, false
+	return rep, true
 }
 
 // batchEndpoint performs one POST /query/batch attempt with an encoded

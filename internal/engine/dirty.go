@@ -28,15 +28,3 @@ func (e *Engine) resetWatch(name string, opt build.Options) {
 		delete(e.watch, name)
 	}
 }
-
-// SetApproxCutover configures the domain size at and above which
-// synopsis builds substitute the method's (1+ε)-approximate
-// counterpart (build.WithApprox): 0 restores the default
-// (build.DefaultApproxCutover), a negative value disables
-// substitution. Registered synopses keep their original options; only
-// the construction is substituted.
-func (e *Engine) SetApproxCutover(cutover int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.approxCutover = cutover
-}

@@ -66,10 +66,6 @@ type Engine struct {
 	// more than this many mutations happened since it was built.
 	autoRefresh int64
 
-	// approxCutover configures build.WithApprox substitution for rebuilds
-	// (0 = default, negative = disabled).
-	approxCutover int
-
 	synopses map[string]*Synopsis
 	// watch tracks the mutated value window per rebuild-capable synopsis:
 	// point mutations widen it, bulk operations (Replace, shard
@@ -309,14 +305,14 @@ func clamp(a, b, domain int) (int, int, bool) {
 // under the name has the same spec, its method supports partial rebuilds,
 // and the mutations since it was built are confined to a value window,
 // only the affected sub-structures are reconstructed (the dirty-segment
-// path); everything else is a full build. Domains at or above the approx
-// cutover construct through the method's (1+ε)-approximate counterpart
-// while the registered options stay as given.
+// path); everything else is a full build. Domains at or above
+// build.DefaultApproxCutover construct through the method's
+// (1+ε)-approximate counterpart while the registered options stay as
+// given.
 func (e *Engine) BuildSynopsis(name string, metric Metric, opt build.Options) (*Synopsis, error) {
 	e.mu.Lock()
 	counts := e.metricCounts(metric)
 	version := e.version
-	cutover := e.approxCutover
 	prev := e.synopses[name]
 	var win build.Window
 	var base method.Estimator // prev.Est once win holds every mutation since prev was built
@@ -345,7 +341,7 @@ func (e *Engine) BuildSynopsis(name string, metric Metric, opt build.Options) (*
 		// Nothing mutated since the previous build: it is already current.
 		return prev, nil
 	}
-	est, _, err := build.Refresh(counts, opt, base, win, cutover)
+	est, _, err := build.Refresh(counts, opt, base, win, 0)
 	if err == nil {
 		var em method.ErrorModel
 		if em, err = errModelFor(opt, counts, est); err == nil {
@@ -382,90 +378,12 @@ func errModelFor(opt build.Options, counts []int64, est method.Estimator) (metho
 	return d.ErrorBound(prefix.NewTable(counts), est)
 }
 
-// SynopsisSpec names one synopsis of a BuildSynopses batch.
+// SynopsisSpec names one synopsis by its build recipe: the serving
+// layer's declared synopses and the spec lists checkpoints carry.
 type SynopsisSpec struct {
 	Name    string
 	Metric  Metric
 	Options build.Options
-}
-
-// BuildSynopses constructs the specified synopses concurrently over the
-// shared worker pool and registers them atomically: either every build
-// succeeds and all synopses are installed (replacing same-named ones), or
-// none is registered and the first failure (in spec order) is returned.
-// All builds see the same snapshot of the data.
-func (e *Engine) BuildSynopses(specs []SynopsisSpec) ([]*Synopsis, error) {
-	if len(specs) == 0 {
-		return nil, nil
-	}
-	_, span := obs.Start(context.Background(), "engine.build_synopses")
-	span.SetAttrInt("specs", int64(len(specs)))
-	span.SetAttr("engine", e.name)
-	defer span.End()
-	seen := make(map[string]bool, len(specs))
-	for _, sp := range specs {
-		if seen[sp.Name] {
-			return nil, fmt.Errorf("engine: duplicate synopsis name %q in batch", sp.Name)
-		}
-		seen[sp.Name] = true
-	}
-	e.mu.Lock()
-	version := e.version
-	cutover := e.approxCutover
-	countsByMetric := map[Metric][]int64{}
-	// Reset (or create) the dirty windows at the snapshot, so mutations
-	// landing during the unlocked builds are tracked for the next partial
-	// rebuild. The previous windows are kept aside to restore on failure.
-	prevWins := make(map[string]build.Window)
-	for _, sp := range specs {
-		if _, ok := countsByMetric[sp.Metric]; !ok {
-			countsByMetric[sp.Metric] = e.metricCounts(sp.Metric)
-		}
-		if w, ok := e.watch[sp.Name]; ok {
-			prevWins[sp.Name] = *w
-		}
-		e.resetWatch(sp.Name, sp.Options)
-	}
-	e.mu.Unlock()
-
-	restoreWins := func() {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		for name, win := range prevWins {
-			if w, ok := e.watch[name]; ok {
-				w.Merge(win)
-			}
-		}
-	}
-
-	out := make([]*Synopsis, len(specs))
-	errs := make([]error, len(specs))
-	parallel.ForEach(len(specs), func(i int) {
-		sp := specs[i]
-		est, err := build.Build(countsByMetric[sp.Metric], build.WithApprox(sp.Options, e.domain, cutover))
-		if err != nil {
-			errs[i] = fmt.Errorf("engine: building synopsis %q: %w", sp.Name, err)
-			return
-		}
-		em, err := errModelFor(sp.Options, countsByMetric[sp.Metric], est)
-		if err != nil {
-			errs[i] = fmt.Errorf("engine: error model for %q: %w", sp.Name, err)
-			return
-		}
-		out[i] = &Synopsis{Name: sp.Name, Metric: sp.Metric, Options: sp.Options, Est: est, ErrModel: em, Version: version}
-	})
-	for _, err := range errs {
-		if err != nil {
-			restoreWins()
-			return nil, err
-		}
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, s := range out {
-		e.synopses[s.Name] = s
-	}
-	return out, nil
 }
 
 // MergeFrom absorbs a shard engine built over the same domain: the

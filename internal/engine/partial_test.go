@@ -104,18 +104,16 @@ func TestSegmentedSynopsisReuse(t *testing.T) {
 	}
 }
 
-// TestApproxCutoverSubstitution pins the cutover default and checks the
-// engine substitutes the (1+ε)-approximate construction at or above it
-// while registered options keep the exact method.
+// TestApproxCutoverSubstitution checks the engine builds through the
+// (1+ε)-approximate construction at or above build.DefaultApproxCutover
+// while the registered options keep the exact method. The cutover's
+// own cases (default, disabled, CoarsenTo) are pinned by
+// build.TestWithApprox.
 func TestApproxCutoverSubstitution(t *testing.T) {
-	if build.DefaultApproxCutover != 32768 {
-		t.Fatalf("DefaultApproxCutover = %d, want 32768", build.DefaultApproxCutover)
-	}
-	e := newSegEngine(t, 64)
 	opt := build.Options{Method: method.A0, BudgetWords: 12}
 
-	// Domain 64 is under any sensible default; the exact DP builds.
-	s, err := e.BuildSynopsis("exact", Count, opt)
+	// Domain 64 is under the cutover; the exact DP builds.
+	s, err := newSegEngine(t, 64).BuildSynopsis("exact", Count, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,28 +121,17 @@ func TestApproxCutoverSubstitution(t *testing.T) {
 		t.Errorf("domain under cutover built %q, want the exact construction", s.Est.Name())
 	}
 
-	// Lowering the cutover below the domain switches construction to the
-	// approximate counterpart; the synopsis still registers as A0.
-	e.SetApproxCutover(32)
-	s, err = e.BuildSynopsis("approx", Count, opt)
+	// At the cutover construction switches to the approximate
+	// counterpart; the synopsis still registers as A0.
+	s, err = newSegEngine(t, build.DefaultApproxCutover).BuildSynopsis("approx", Count, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(s.Est.Name(), "A0-APPROX") {
-		t.Errorf("domain over cutover built %q, want the approximate construction", s.Est.Name())
+		t.Errorf("domain at cutover built %q, want the approximate construction", s.Est.Name())
 	}
 	if s.Options.Method != method.A0 {
 		t.Errorf("registered method changed to %v; substitution must not leak into options", s.Options.Method)
-	}
-
-	// A negative cutover disables substitution outright.
-	e.SetApproxCutover(-1)
-	s, err = e.BuildSynopsis("disabled", Count, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(s.Est.Name(), "APPROX") {
-		t.Errorf("disabled cutover still built %q", s.Est.Name())
 	}
 }
 

@@ -180,10 +180,13 @@ type Outcome struct {
 // State is the per-synopsis maintenance state: the absorb counter
 // driving periodic reopt, the repaired/escalate arm of the drift
 // ladder, and the sampled query ring the trigger evaluates over. It is
-// safe for concurrent use; Maintain calls are serialized internally.
+// safe for concurrent use; Maintain calls are serialized internally,
+// and the ring has a lock of its own so Observe never waits on a
+// maintenance batch.
 type State struct {
 	cfg Config
 
+	// mu guards the ladder state and serializes Maintain.
 	mu sync.Mutex
 	// absorbs counts batches since the last value reopt.
 	absorbs int
@@ -196,7 +199,8 @@ type State struct {
 	baseline    float64
 	baselineSet bool
 	// ring holds sampled observed query ranges (filled to ringLen, then
-	// overwritten round-robin at ringPos).
+	// overwritten round-robin at ringPos), guarded by ringMu.
+	ringMu  sync.Mutex
 	ring    []sse.Range
 	ringLen int
 	ringPos int
@@ -223,7 +227,7 @@ func (st *State) Observe(a, b int) {
 	if st.tick.Add(1)%sampleEvery != 1 { // always take the first observation
 		return
 	}
-	st.mu.Lock()
+	st.ringMu.Lock()
 	r := sse.Range{A: a, B: b}
 	if st.ringLen < cap(st.ring) {
 		st.ring = append(st.ring, r)
@@ -232,7 +236,7 @@ func (st *State) Observe(a, b int) {
 		st.ring[st.ringPos] = r
 		st.ringPos = (st.ringPos + 1) % st.ringLen
 	}
-	st.mu.Unlock()
+	st.ringMu.Unlock()
 }
 
 // Reset clears the maintenance state after the caller rebuilt the
@@ -292,6 +296,9 @@ func Maintain(series []int64, prev method.Estimator, lo, hi int, st *State) (met
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	// The drift trigger evaluates over the workload observed up to here;
+	// queries observed while the batch runs count toward the next one.
+	w := st.workload(n)
 	tab := prefix.NewTable(series)
 
 	// Absorb, then reopt on schedule.
@@ -324,7 +331,6 @@ func Maintain(series []int64, prev method.Estimator, lo, hi int, st *State) (met
 	// Drift trigger: the maintained synopsis's SSE over the observed
 	// workload against the baseline captured after the last
 	// build/reopt/repair.
-	w := st.workload(n)
 	now := sse.Evaluate(tab, next, w).SSE
 	if doReopt || !st.baselineSet {
 		st.baseline = now
@@ -381,8 +387,10 @@ func driftRatio(now, baseline float64) float64 {
 // sampled ring of observed ranges clamped to the domain, or — before
 // any query has been observed — a deterministic dyadic grid (sixteen
 // equal cells, both halves, and the full range) so cold synopses still
-// drift-check. Caller holds st.mu.
+// drift-check. The result is a copy, taken under st.ringMu.
 func (st *State) workload(n int) []sse.Range {
+	st.ringMu.Lock()
+	defer st.ringMu.Unlock()
 	if st.ringLen > 0 {
 		out := make([]sse.Range, 0, st.ringLen)
 		for _, r := range st.ring[:st.ringLen] {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"rangeagg/internal/dp"
 	"rangeagg/internal/histogram"
@@ -394,4 +395,68 @@ func TestActionString(t *testing.T) {
 			t.Fatalf("%d.String() = %q, want %q", a, a.String(), want)
 		}
 	}
+}
+
+// TestObserveDoesNotWaitOnMaintain holds the ladder lock, as a running
+// maintenance batch does, and requires Observe to return anyway and to
+// record its range for the next batch.
+func TestObserveDoesNotWaitOnMaintain(t *testing.T) {
+	st := NewState(Config{Mode: ModeIncremental})
+	st.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		st.Observe(3, 9)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Observe blocked while the ladder lock was held")
+	}
+	st.mu.Unlock()
+	if w := st.workload(16); len(w) != 1 || w[0] != (sse.Range{A: 3, B: 9}) {
+		t.Fatalf("workload after Observe = %v, want [{3 9}]", w)
+	}
+
+	// Observers racing real maintenance batches (run under -race).
+	counts := make([]int64, 64)
+	for i := range counts {
+		counts[i] = int64(1 + i%5)
+	}
+	bk, err := histogram.NewBucketing(64, []int{0, 16, 32, 48})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev method.Estimator = wantAvg(t, counts, bk)
+	stop := make(chan struct{})
+	observers := make(chan struct{}, 2)
+	for g := 0; g < 2; g++ {
+		go func() {
+			defer func() { observers <- struct{}{} }()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					st.Observe(i%64, (i+g*7)%64)
+				}
+			}
+		}()
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 20; i++ {
+		lo, hi := mutate(rng, counts, 2)
+		next, res, err := Maintain(counts, prev, lo, hi, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Action == Escalate {
+			st.Reset()
+			continue
+		}
+		prev = next
+	}
+	close(stop)
+	<-observers
+	<-observers
 }

@@ -19,23 +19,30 @@ import (
 const ckptMagic = "RAGGCKP1"
 
 // checkpointWire is the JSON body of a checkpoint file: the exact counts
-// at the applied index plus every built synopsis (serializable ones as
-// their codec envelope bytes, the rest as rebuild-from-counts specs) and
-// the serving layer's accepted shard estimators.
+// at the applied index plus every synopsis of the engine catalog
+// (serializable ones as their codec envelope bytes, the rest as
+// rebuild-from-counts specs), the serving layer's declared specs, and
+// its accepted shard estimators. Recovery restores Synopses into the
+// engine and never builds Specs: the serving layer builds its own
+// snapshots, and a replica reads both lists through DecodeCheckpoint.
+// Checkpoints written before Specs existed carry the declared specs
+// inside Synopses; SetDeclaredSpecs sheds those copies.
 type checkpointWire struct {
 	Name     string         `json:"name"`
 	Domain   int            `json:"domain"`
 	Applied  uint64         `json:"applied"`
 	Counts   []int64        `json:"counts"`
 	Synopses []ckptSynopsis `json:"synopses,omitempty"`
+	Specs    []ckptSynopsis `json:"specs,omitempty"`
 	Shards   []ckptShard    `json:"shards,omitempty"`
 }
 
-// ckptSynopsis persists one engine-registered synopsis. Blob is the
-// codec envelope of the built estimator; when nil (a non-serializable
-// family) recovery rebuilds from the checkpoint counts instead, which
-// loses only the staleness the estimator had accumulated before the
-// checkpoint.
+// ckptSynopsis persists one synopsis spec and, for an engine-registered
+// synopsis, its estimator. Blob is the codec envelope of the built
+// estimator; when nil (a non-serializable family) recovery rebuilds from
+// the checkpoint counts instead, which loses only the staleness the
+// estimator had accumulated before the checkpoint. Entries of the Specs
+// list never carry a blob.
 type ckptSynopsis struct {
 	Name    string        `json:"name"`
 	Metric  int           `json:"metric"`

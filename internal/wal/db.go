@@ -203,7 +203,8 @@ func Open(dir string, opt Options) (*DB, *Recovery, error) {
 // restoreCheckpoint rebuilds the engine and shard inbox a checkpoint
 // describes: counts are loaded, serialized synopses are decoded and
 // installed verbatim (bit-identical to the pre-crash estimators), and
-// spec-only synopses are rebuilt from the checkpoint counts.
+// spec-only synopses are rebuilt from the checkpoint counts. The
+// serving layer's declared specs are not built here.
 func restoreCheckpoint(ckpt checkpointWire) (*engine.Engine, []ShardMerge, error) {
 	eng, err := engine.New(ckpt.Name, ckpt.Domain)
 	if err != nil {
@@ -498,7 +499,8 @@ func encodeEstimator(est method.Estimator) ([]byte, error) {
 }
 
 // Checkpoint captures the engine's exact state — counts plus every built
-// synopsis, serializable ones as their codec wire bytes — writes it as
+// synopsis, serializable ones as their codec wire bytes — and the
+// serving layer's declared specs and shard inbox, writes it as
 // an atomically-renamed checkpoint file, and truncates the superseded
 // log segments. Mutations are blocked only while the state is captured
 // and the log rotated; serialization and file I/O run outside the
@@ -536,20 +538,8 @@ func (d *DB) Checkpoint() error {
 		}
 		wire.Synopses = append(wire.Synopses, cs)
 	}
-	// Declared serving-layer specs ride along as spec-only entries (no
-	// blob); recovery — and a replica installing this checkpoint —
-	// rebuilds them from the checkpoint counts.
 	for _, sp := range declared {
-		dup := false
-		for _, cs := range wire.Synopses {
-			if cs.Name == sp.Name {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			wire.Synopses = append(wire.Synopses, ckptSynopsis{Name: sp.Name, Metric: int(sp.Metric), Options: sp.Options})
-		}
+		wire.Specs = append(wire.Specs, ckptSynopsis{Name: sp.Name, Metric: int(sp.Metric), Options: sp.Options})
 	}
 	for _, sh := range shards {
 		blob, err := encodeEstimator(sh.Est)

@@ -16,9 +16,9 @@ import (
 
 // CheckpointData is the decoded, validated view of one checkpoint a
 // replica installs: the exact counts at the applied index plus the
-// synopsis specs registered at capture time (the replica rebuilds
-// estimators from the counts — bit-exact inputs give bit-exact
-// synopses, so installing blobs is unnecessary off the recovery path).
+// synopsis specs the checkpoint names (the replica rebuilds estimators
+// from the counts — bit-exact inputs give bit-exact synopses, so
+// installing blobs is unnecessary off the recovery path).
 type CheckpointData struct {
 	// Name is the engine column name at the primary.
 	Name string
@@ -29,7 +29,8 @@ type CheckpointData struct {
 	Applied uint64
 	// Counts is the exact distribution at Applied.
 	Counts []int64
-	// Specs are the synopses registered when the checkpoint was taken.
+	// Specs are the engine's synopses and the serving layer's declared
+	// specs when the checkpoint was taken.
 	Specs []engine.SynopsisSpec
 }
 
@@ -46,13 +47,19 @@ func DecodeCheckpoint(r io.Reader) (*CheckpointData, error) {
 	if err != nil {
 		return nil, err
 	}
-	ck := &CheckpointData{Name: wire.Name, Domain: wire.Domain, Applied: wire.Applied, Counts: wire.Counts}
-	for _, cs := range wire.Synopses {
-		ck.Specs = append(ck.Specs, engine.SynopsisSpec{
-			Name: cs.Name, Metric: engine.Metric(cs.Metric), Options: cs.Options,
-		})
+	return &CheckpointData{
+		Name: wire.Name, Domain: wire.Domain, Applied: wire.Applied, Counts: wire.Counts,
+		Specs: append(specList(wire.Synopses), specList(wire.Specs)...),
+	}, nil
+}
+
+// specList drops the estimator blobs of checkpoint entries.
+func specList(entries []ckptSynopsis) []engine.SynopsisSpec {
+	var out []engine.SynopsisSpec
+	for _, cs := range entries {
+		out = append(out, engine.SynopsisSpec{Name: cs.Name, Metric: engine.Metric(cs.Metric), Options: cs.Options})
 	}
-	return ck, nil
+	return out
 }
 
 // OpenNewestCheckpoint opens the newest checkpoint file for streaming
@@ -96,12 +103,17 @@ func (d *DB) Applied() uint64 {
 }
 
 // SetDeclaredSpecs records the serving layer's synopsis specs so
-// checkpoints carry them as spec-only entries (name, metric, options —
-// no estimator blob). Recovery and replicas installing the checkpoint
-// rebuild these synopses from the checkpoint counts, so a bare replica
-// converges on its primary's serving shape without local -syn flags.
+// checkpoints carry them in their spec list (name, metric, options — no
+// estimator). Recovery never builds them; a replica installing the
+// checkpoint adopts them, so a bare replica converges on its primary's
+// serving shape without local -syn flags. Engine synopses of the same
+// names are dropped: they are copies a checkpoint written before the
+// spec list existed restored, and nothing reads them.
 func (d *DB) SetDeclaredSpecs(specs []engine.SynopsisSpec) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.declared = append([]engine.SynopsisSpec(nil), specs...)
-	d.mu.Unlock()
+	for _, sp := range specs {
+		d.eng.DropSynopsis(sp.Name)
+	}
 }

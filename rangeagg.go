@@ -293,11 +293,8 @@ type Options struct {
 // Build constructs a synopsis over the attribute-value distribution.
 // Counts must be non-empty and non-negative.
 func Build(counts []int64, opt Options) (Synopsis, error) {
-	im, err := opt.Method.resolve()
+	bo, err := opt.internal()
 	if err != nil {
-		return nil, err
-	}
-	if err := opt.Method.validateEpsilon(opt.Epsilon); err != nil {
 		return nil, err
 	}
 	for i, c := range counts {
@@ -305,7 +302,24 @@ func Build(counts []int64, opt Options) (Synopsis, error) {
 			return nil, fmt.Errorf("rangeagg: negative count %d at value %d", c, i)
 		}
 	}
-	return build.Build(counts, build.Options{
+	return build.Build(counts, bo)
+}
+
+// internal validates opt and translates it into the build layer's
+// options. It is the one conversion behind every facade entry point
+// that constructs a synopsis (Build, Engine.BuildSynopsis,
+// Durable.BuildSynopsis), so all of them reject an unregistered method
+// with *UnknownMethodError and an out-of-range ε with
+// *InvalidEpsilonError, and all of them honour every field.
+func (opt Options) internal() (build.Options, error) {
+	im, err := opt.Method.resolve()
+	if err != nil {
+		return build.Options{}, err
+	}
+	if err := opt.Method.validateEpsilon(opt.Epsilon); err != nil {
+		return build.Options{}, err
+	}
+	return build.Options{
 		Method:        im,
 		BudgetWords:   opt.BudgetWords,
 		Reopt:         opt.Reopt,
@@ -317,7 +331,7 @@ func Build(counts []int64, opt Options) (Synopsis, error) {
 		CoarsenTo:     opt.CoarsenTo,
 		Segments:      opt.Segments,
 		SegmentPolicy: opt.SegmentPolicy,
-	})
+	}, nil
 }
 
 // Range is an inclusive query range.
@@ -351,14 +365,7 @@ func SSE(counts []int64, s Synopsis) float64 {
 // Evaluate computes error metrics for the synopsis over an explicit
 // workload of ranges.
 func Evaluate(counts []int64, s Synopsis, queries []Range) Metrics {
-	tab := prefix.NewTable(counts)
-	qs := make([]sse.Range, len(queries))
-	for i, q := range queries {
-		qs[i] = sse.Range{A: q.A, B: q.B}
-	}
-	m := sse.Evaluate(tab, s, qs)
-	return Metrics{Queries: m.Queries, SSE: m.SSE, MAE: m.MAE,
-		MaxAbs: m.MaxAbs, RMS: m.RMS, MeanRel: m.MeanRel}
+	return Metrics(sse.Evaluate(prefix.NewTable(counts), s, sseRanges(queries)))
 }
 
 // AllRanges enumerates every range of an n-value domain (the paper's
