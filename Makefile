@@ -29,6 +29,8 @@ benchdiff:
 bench-baseline:
 	$(GO) run ./scripts/benchdiff -bench '$(BENCH_GATED)' -update
 
+# The single list of fuzz-smoke targets: CI's fuzz-smoke step runs
+# `make fuzz-smoke` rather than repeating it.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadSynopsis -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzEngineQuery -fuzztime 10s ./internal/engine

@@ -266,3 +266,34 @@ func TestEngineDurableDifferential(t *testing.T) {
 		}
 	}
 }
+
+// TestReportClampsRanges checks Report clamps a workload's ranges to the
+// domain as Approx does, on Engine and Durable alike: a range wholly
+// outside counts as one query answered exactly, with error 0.
+func TestReportClampsRanges(t *testing.T) {
+	eng, err := rangeagg.NewEngine("report", catalogDomain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dur := openCatalogDurable(t, t.TempDir())
+	defer dur.Close()
+	for _, c := range []catalogSurface{eng, dur} {
+		if err := c.Load(catalogCounts()); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.BuildSynopsis("h", rangeagg.Count, rangeagg.Options{Method: rangeagg.SAP0, BudgetWords: 24}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Report("h", []rangeagg.Range{{A: -5, B: 200}, {A: 90, B: 120}, {A: 200, B: 300}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := c.Report("h", []rangeagg.Range{{A: 0, B: 95}, {A: 90, B: 95}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Queries != 3 || got.SSE != want.SSE || want.SSE == 0 {
+			t.Errorf("%T: Report = %+v, want 3 queries and SSE %v", c, got, want.SSE)
+		}
+	}
+}

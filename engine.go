@@ -191,7 +191,8 @@ func (c *catalog) ApproxBatch(name string, queries []Range) ([]float64, error) {
 }
 
 // Report evaluates a synopsis's error over a workload against the current
-// exact data.
+// exact data. Ranges are clamped to the domain like Approx's; one wholly
+// outside it counts as a query answered exactly, with error 0.
 func (c *catalog) Report(name string, queries []Range) (Metrics, error) {
 	m, err := c.eng.Report(name, sseRanges(queries))
 	return Metrics(m), wrapEngineErr(err)

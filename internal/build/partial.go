@@ -68,14 +68,14 @@ func CanRebuild(opt Options) bool {
 // of counts), win is confined and the method has a registry Rebuild
 // hook, only the sub-structures covering the window are reconstructed
 // and the rest carry over; otherwise it is a full Build, substituting
-// the (1+ε)-approximate counterpart per WithApprox(opt, len(counts),
-// cutover). The stats are zero for full builds.
-func Refresh(counts []int64, opt Options, prev method.Estimator, win Window, cutover int) (method.Estimator, method.RebuildStats, error) {
+// the (1+ε)-approximate counterpart per WithApprox at the default
+// cutover. The stats are zero for full builds.
+func Refresh(counts []int64, opt Options, prev method.Estimator, win Window) (method.Estimator, method.RebuildStats, error) {
 	if d, err := method.Lookup(opt.Method); err == nil && d.Rebuild != nil && prev != nil && win.Confined() {
 		defer phaseSeconds(d.Name, "rebuild").Since(time.Now())
 		return d.Rebuild(counts, prev, win.Lo, win.Hi, opt.methodOpts())
 	}
-	est, err := Build(counts, WithApprox(opt, len(counts), cutover))
+	est, err := Build(counts, WithApprox(opt, len(counts), DefaultApproxCutover))
 	return est, method.RebuildStats{}, err
 }
 

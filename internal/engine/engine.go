@@ -287,17 +287,16 @@ func (e *Engine) exact(m Metric, a, b int) int64 {
 	return s
 }
 
-func clamp(a, b, domain int) (int, int, bool) {
+// clamp limits [a,b] to the domain; ok is false when what is left is
+// empty (a > b).
+func clamp(a, b, domain int) (_, _ int, ok bool) {
 	if a < 0 {
 		a = 0
 	}
 	if b >= domain {
 		b = domain - 1
 	}
-	if a > b {
-		return 0, 0, false
-	}
-	return a, b, true
+	return a, b, a <= b
 }
 
 // BuildSynopsis constructs and registers a synopsis under the given name,
@@ -341,7 +340,7 @@ func (e *Engine) BuildSynopsis(name string, metric Metric, opt build.Options) (*
 		// Nothing mutated since the previous build: it is already current.
 		return prev, nil
 	}
-	est, _, err := build.Refresh(counts, opt, base, win, 0)
+	est, _, err := build.Refresh(counts, opt, base, win)
 	if err == nil {
 		var em method.ErrorModel
 		if em, err = errModelFor(opt, counts, est); err == nil {
@@ -659,16 +658,22 @@ func (e *Engine) Refresh(name string) (*Synopsis, error) {
 }
 
 // Report aggregates a synopsis's error over a workload of ranges against
-// the current exact data.
+// the current exact data. Ranges are clamped like Approx's; one wholly
+// outside the domain counts as a query answered exactly, with error 0.
 func (e *Engine) Report(name string, queries []sse.Range) (sse.Metrics, error) {
 	s, err := e.Synopsis(name)
 	if err != nil {
 		return sse.Metrics{}, err
 	}
+	clamped := make([]sse.Range, len(queries))
+	for i, q := range queries {
+		a, b, _ := clamp(q.A, q.B, e.domain) // empty (a > b) when wholly outside
+		clamped[i] = sse.Range{A: a, B: b}
+	}
 	e.mu.RLock()
 	tab := prefix.NewTable(e.metricCounts(s.Metric))
 	e.mu.RUnlock()
-	return sse.Evaluate(tab, s.Est, queries), nil
+	return sse.Evaluate(tab, s.Est, clamped), nil
 }
 
 // SSE returns the exact sum-squared error of a synopsis over all ranges

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"rangeagg/internal/build"
 	"rangeagg/internal/engine"
+	"rangeagg/internal/method"
 	"rangeagg/internal/wal"
 )
 
@@ -154,6 +156,39 @@ func TestDurableRestartBuildsNoEngineSynopses(t *testing.T) {
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestAddDropSynopsisDeclaresSpecs checks a durable server's checkpoints
+// follow its spec list: an added spec is declared, a dropped one is not,
+// and an add that fails and is rolled back leaves the list unchanged.
+func TestAddDropSynopsisDeclaresSpecs(t *testing.T) {
+	db, _, err := wal.Open(t.TempDir(), wal.Options{Domain: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s, err := New(db.Engine(), testSpecs(), Config{Debounce: time.Hour, WAL: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.AddSynopsis(engine.SynopsisSpec{Name: "new", Metric: engine.Count,
+		Options: build.Options{Method: method.EquiDepth, BudgetWords: 8}}); err != nil {
+		t.Fatal(err)
+	}
+	if !s.DropSynopsis("h") {
+		t.Fatal("drop of h reported false")
+	}
+	if err := s.AddSynopsis(engine.SynopsisSpec{Name: "bad", Metric: engine.Count,
+		Options: build.Options{Method: method.VOptimal}}); err == nil {
+		t.Fatal("zero-budget spec accepted")
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := decodedSpecNames(t, db); !reflect.DeepEqual(got, []string{"s", "new"}) {
+		t.Fatalf("replica decodes specs %v, want [s new]", got)
 	}
 }
 

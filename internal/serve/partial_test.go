@@ -122,53 +122,44 @@ func TestServeSynopsisReuse(t *testing.T) {
 	}
 }
 
-// TestServeApproxCutover pins the serve-layer cutover config: lowering it
-// below the domain makes full rebuilds construct through the approximate
-// counterpart while registered options keep the exact method.
+// TestServeApproxCutover pins the serve-layer cutover: full rebuilds on
+// a domain of build.DefaultApproxCutover construct through the
+// approximate counterpart while registered options keep the exact
+// method, and a small domain stays on the exact path.
 func TestServeApproxCutover(t *testing.T) {
-	eng, err := engine.New("cutover", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make([]int64, 64)
-	for i := range counts {
-		counts[i] = int64(i % 7)
-	}
-	if err := eng.Load(counts); err != nil {
-		t.Fatal(err)
-	}
 	specs := []engine.SynopsisSpec{{
 		Name: "a", Metric: engine.Count,
 		Options: build.Options{Method: method.A0, BudgetWords: 12},
 	}}
-	s, err := New(eng, specs, Config{Debounce: time.Hour, ApproxCutover: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	syn, err := s.Snapshot().Synopsis("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(syn.Est.Name(), "A0-APPROX") {
-		t.Errorf("domain over cutover built %q, want the approximate construction", syn.Est.Name())
-	}
-	if syn.Options.Method != method.A0 {
-		t.Errorf("registered method changed to %v", syn.Options.Method)
-	}
-
-	// The default config (cutover 0 → 32768) leaves a 64-value domain on
-	// the exact path.
-	s2, err := New(eng, specs, Config{Debounce: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	syn, err = s2.Snapshot().Synopsis("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(syn.Est.Name(), "APPROX") {
-		t.Errorf("default cutover built %q on a small domain", syn.Est.Name())
+	for _, tc := range []struct {
+		domain int
+		approx bool
+	}{{build.DefaultApproxCutover, true}, {64, false}} {
+		eng, err := engine.New("cutover", tc.domain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := make([]int64, tc.domain)
+		for i := range counts {
+			counts[i] = int64(i % 7)
+		}
+		if err := eng.Load(counts); err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(eng, specs, Config{Debounce: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		syn, err := s.Snapshot().Synopsis("a")
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(syn.Est.Name(), "A0-APPROX"); got != tc.approx {
+			t.Errorf("domain %d built %q, want approximate construction %v", tc.domain, syn.Est.Name(), tc.approx)
+		}
+		if syn.Options.Method != method.A0 {
+			t.Errorf("registered method changed to %v", syn.Options.Method)
+		}
 	}
 }

@@ -50,12 +50,6 @@ type Config struct {
 	// FanOut is the smallest batch QueryBatch spreads over the worker
 	// pool; smaller batches evaluate inline (default 128).
 	FanOut int
-	// ApproxCutover is the domain size at and above which snapshot
-	// rebuilds construct through a method's (1+ε)-approximate
-	// counterpart (registered specs keep their original options). 0
-	// selects build.DefaultApproxCutover; a negative value disables the
-	// substitution.
-	ApproxCutover int
 	// WAL, when non-nil, makes the server durable: the engine must be
 	// the DB's engine, every mutation path (ingest, load, shard merge)
 	// appends its log record before the call acknowledges, and a
@@ -212,11 +206,7 @@ func New(eng *engine.Engine, specs []engine.SynopsisSpec, cfg Config) (*Server, 
 	if err := s.Rebuild(); err != nil {
 		return nil, err
 	}
-	if s.cfg.WAL != nil {
-		// Checkpoints carry the serving specs so replicas (and recovery)
-		// can rebuild this node's full serving shape from counts alone.
-		s.cfg.WAL.SetDeclaredSpecs(s.specs)
-	}
+	s.declareSpecs()
 	go s.debounceLoop()
 	return s, nil
 }
@@ -363,6 +353,7 @@ func (s *Server) AddSynopsis(spec engine.SynopsisSpec) error {
 		s.specMu.Unlock()
 		return err
 	}
+	s.declareSpecs()
 	return nil
 }
 
@@ -391,10 +382,23 @@ func (s *Server) DropSynopsis(name string) bool {
 			// shard merges for the dropped synopsis.
 			_, _ = s.cfg.WAL.DropSynopsis(name)
 		}
+		s.declareSpecs()
 		// Dropping a spec cannot fail construction of the others.
 		_ = s.Rebuild()
 	}
 	return found
+}
+
+// declareSpecs hands the current spec list to a durable server's WAL:
+// checkpoints carry it so replicas (and recovery) can rebuild this
+// node's full serving shape from counts alone.
+func (s *Server) declareSpecs() {
+	if s.cfg.WAL == nil {
+		return
+	}
+	s.specMu.RLock()
+	defer s.specMu.RUnlock()
+	s.cfg.WAL.SetDeclaredSpecs(s.specs)
 }
 
 // MergeSynopsis accepts a remote shard's estimator for the named
@@ -566,9 +570,9 @@ func (s *Server) QueryBatch(qs []Query) ([]Result, int64) {
 // model); a spec whose method supports partial rebuilds refreshes only
 // the structures covering the mutated window; everything else is built
 // from scratch, substituting the method's (1+ε)-approximate counterpart
-// on large domains (Config.ApproxCutover). The partial and reuse paths
-// trust that direct engine mutators call MarkDirty (which widens the
-// window to everything); the ingest wrappers mark precisely.
+// on domains of build.DefaultApproxCutover and above. The partial and
+// reuse paths trust that direct engine mutators call MarkDirty (which
+// widens the window to everything); the ingest wrappers mark precisely.
 func (s *Server) Rebuild() error {
 	_, span := obs.Start(context.Background(), "serve.rebuild")
 	span.OnEnd(rebuildSeconds.Observe)
@@ -680,7 +684,7 @@ func (s *Server) Rebuild() error {
 					return
 				}
 			}
-			ests[i], stats[i], errs[i] = build.Refresh(series, sp.Options, base, win, s.cfg.ApproxCutover)
+			ests[i], stats[i], errs[i] = build.Refresh(series, sp.Options, base, win)
 			if errs[i] == nil && st != nil {
 				// Built, not maintained: the drift baseline and repair arm
 				// described the previous synopsis, so maintenance restarts

@@ -3,19 +3,19 @@ package serve
 // The query wire codec: a reflection-free JSON decoder and append-style
 // encoder for the hot query paths — node GET /query and POST
 // /query/batch, the router's same two endpoints, and the router→node
-// sub-requests behind them. Its contract is byte compatibility with
-// encoding/json for these shapes: the decoder accepts and rejects what
-// json.Decoder does when decoding into the equivalent structs (Unicode
-// case-folded keys, unknown fields skipped, null leaving a field
-// untouched, escapes and invalid UTF-8 unquoted the same way, bytes
-// after the first value ignored, non-integers rejected for integer
-// fields, the 10000-level nesting limit), and the encoder writes the
-// bytes json.NewEncoder would (sorted map keys, HTML-escaped strings,
-// ES6-style floats, the trailing newline). FuzzQueryWire pins both
-// halves against encoding/json. Cold endpoints keep encoding/json.
+// sub-requests behind them. Its contract is compatibility with
+// encoding/json for these shapes. The decoders read the canonical form
+// the encoders, the router and well-behaved clients send (see canon)
+// without reflection or allocation, and hand any other body whole to
+// json.Decoder, so what a body decodes to, and whether it is accepted,
+// are encoding/json's. The encoder writes the bytes json.NewEncoder
+// would (sorted map keys, HTML-escaped strings, ES6-style floats, the
+// trailing newline). FuzzQueryWire pins both halves against
+// encoding/json. Cold endpoints keep encoding/json.
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -23,17 +23,12 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
-	"unicode"
-	"unicode/utf16"
 	"unicode/utf8"
 )
 
 // MaxBatchBytes caps a /query/batch request body on nodes and routers;
 // a larger body is rejected with 413. 8 MiB holds ~500k ranges.
 const MaxBatchBytes = 8 << 20
-
-// maxNestingDepth is encoding/json's scanner limit.
-const maxNestingDepth = 10000
 
 // maxPooledBytes bounds the buffers the codec's pools keep, so one huge
 // request does not pin its buffer for the life of the process.
@@ -90,80 +85,50 @@ type BatchRequest struct {
 	// the request, so it is valid until the next Decode.
 	MaxErr *float64
 
-	maxErr   float64
-	rangesHW int // Ranges backing elements written by this Decode
-	sc       scanner
+	maxErr float64
 }
 
 // Decode replaces r with the request in data, with the semantics of
 // json.Decoder.Decode into a fresh struct of this shape.
 func (r *BatchRequest) Decode(data []byte) error {
 	syn, met := r.Synopsis, r.Metric
-	r.Synopsis, r.Metric, r.MaxErr = "", "", nil
-	r.Ranges, r.rangesHW = r.Ranges[:0], 0
-	s := &r.sc
-	s.reset(data)
-	return s.topObject(func(key []byte) error {
-		switch {
-		case keyIs(key, "synopsis"):
-			return s.stringField(&r.Synopsis, syn)
-		case keyIs(key, "metric"):
-			return s.stringField(&r.Metric, met)
-		case keyIs(key, "ranges"):
-			return r.decodeRanges()
-		case keyIs(key, "maxerr"):
-			return s.floatPtrField(&r.MaxErr, &r.maxErr)
+	r.Synopsis, r.Metric, r.Ranges, r.MaxErr = "", "", r.Ranges[:0], nil
+	s := canon{data: data}
+	s.expect('{')
+	for i := 0; s.more('}', i == 0); i++ {
+		switch s.key("synopsis", "metric", "ranges", "maxerr") {
+		case "synopsis":
+			r.Synopsis = s.string(syn)
+		case "metric":
+			r.Metric = s.string(met)
+		case "ranges":
+			s.expect('[')
+			for j := 0; s.more(']', j == 0); j++ {
+				s.expect('[')
+				a := s.int(strconv.IntSize)
+				s.expect(',')
+				b := s.int(strconv.IntSize)
+				s.expect(']')
+				r.Ranges = append(r.Ranges, [2]int{int(a), int(b)})
+			}
+		case "maxerr":
+			r.maxErr, r.MaxErr = s.float(), &r.maxErr
 		}
-		return s.skip(1)
-	})
-}
-
-// decodeRanges decodes a [][2]int. Like encoding/json it decodes into
-// the existing elements of a slice a repeated key already filled (a
-// null element leaves one untouched) and zeroes elements it grows into.
-func (r *BatchRequest) decodeRanges() error {
-	s := &r.sc
-	if s.null() {
-		r.Ranges, r.rangesHW = r.Ranges[:0], 0
+	}
+	if s.end() {
 		return nil
 	}
-	i := 0
-	err := s.array(2, func() error {
-		r.Ranges, r.rangesHW = growElem(r.Ranges, i, r.rangesHW, [2]int{})
-		err := r.decodePair(&r.Ranges[i])
-		i++
-		return err
-	})
-	if err != nil {
-		return err
+	var v struct {
+		Synopsis string   `json:"synopsis"`
+		Metric   string   `json:"metric"`
+		Ranges   [][2]int `json:"ranges"`
+		MaxErr   *float64 `json:"maxerr"`
 	}
-	r.Ranges = r.Ranges[:i]
-	if i == 0 {
-		r.rangesHW = 0
-	}
-	return nil
-}
-
-// decodePair decodes one [a,b] element: missing entries zero, extra
-// entries are skipped, null leaves the element (or entry) untouched.
-func (r *BatchRequest) decodePair(p *[2]int) error {
-	s := &r.sc
-	if s.null() {
-		return nil
-	}
-	j := 0
-	err := s.array(3, func() error {
-		var err error
-		if j < len(p) {
-			err = s.intField(&p[j])
-		} else {
-			err = s.skip(3)
-		}
-		j++
-		return err
-	})
-	for ; j < len(p); j++ {
-		p[j] = 0
+	err := json.NewDecoder(bytes.NewReader(data)).Decode(&v)
+	r.Synopsis, r.Metric, r.MaxErr = v.Synopsis, v.Metric, nil
+	r.Ranges = append(r.Ranges[:0], v.Ranges...)
+	if v.MaxErr != nil {
+		r.maxErr, r.MaxErr = *v.MaxErr, &r.maxErr
 	}
 	return err
 }
@@ -211,68 +176,55 @@ type BatchReply struct {
 	Errs    []float64
 	NoErrs  bool
 	Version int64
-
-	valuesHW, errsHW int
-	sc               scanner
 }
 
 // Decode replaces r with the reply in data, with the semantics of
 // json.Decoder.Decode into a fresh {Values []float64; Errs []*float64;
 // Version int64}.
 func (r *BatchReply) Decode(data []byte) error {
-	r.Values, r.valuesHW = r.Values[:0], 0
-	r.Errs, r.errsHW, r.NoErrs = r.Errs[:0], 0, true
-	r.Version = 0
-	s := &r.sc
-	s.reset(data)
-	return s.topObject(func(key []byte) error {
-		switch {
-		case keyIs(key, "values"):
-			return s.floats(&r.Values, &r.valuesHW, 0, false)
-		case keyIs(key, "errs"):
-			r.NoErrs = s.null()
-			if r.NoErrs {
-				r.Errs, r.errsHW = r.Errs[:0], 0
-				return nil
+	r.Values, r.Errs, r.NoErrs, r.Version = r.Values[:0], r.Errs[:0], true, 0
+	s := canon{data: data}
+	s.expect('{')
+	for i := 0; s.more('}', i == 0); i++ {
+		switch s.key("values", "errs", "version") {
+		case "values":
+			s.expect('[')
+			for j := 0; s.more(']', j == 0); j++ {
+				r.Values = append(r.Values, s.float())
 			}
-			return s.floats(&r.Errs, &r.errsHW, math.Inf(1), true)
-		case keyIs(key, "version"):
-			return s.intField64(&r.Version)
+		case "errs":
+			r.NoErrs = false
+			s.expect('[')
+			for j := 0; s.more(']', j == 0); j++ {
+				bound := math.Inf(1)
+				if !s.literal("null") {
+					bound = s.float()
+				}
+				r.Errs = append(r.Errs, bound)
+			}
+		case "version":
+			r.Version = s.int(64)
 		}
-		return s.skip(1)
-	})
-}
-
-// floats decodes a []float64 (nullable=false: null entries leave the
-// element untouched) or a []*float64 stored as float64 with zero
-// standing for nil (nullable=true: null entries reset the element to
-// zero).
-func (s *scanner) floats(dst *[]float64, hw *int, zero float64, nullable bool) error {
-	if s.null() {
-		*dst, *hw = (*dst)[:0], 0
+	}
+	if s.end() {
 		return nil
 	}
-	i := 0
-	err := s.array(2, func() error {
-		*dst, *hw = growElem(*dst, i, *hw, zero)
-		p := &(*dst)[i]
-		i++
-		if s.null() {
-			if nullable {
-				*p = zero
-			}
-			return nil
+	var v struct {
+		Values  []float64  `json:"values"`
+		Errs    []*float64 `json:"errs"`
+		Version int64      `json:"version"`
+	}
+	err := json.NewDecoder(bytes.NewReader(data)).Decode(&v)
+	r.Values = append(r.Values[:0], v.Values...)
+	r.Errs, r.NoErrs, r.Version = r.Errs[:0], v.Errs == nil, v.Version
+	for _, bound := range v.Errs {
+		if bound == nil {
+			r.Errs = append(r.Errs, math.Inf(1))
+		} else {
+			r.Errs = append(r.Errs, *bound)
 		}
-		return s.floatField(p)
-	})
-	if err != nil {
-		return err
 	}
-	*dst = (*dst)[:i]
-	if i == 0 {
-		*hw = 0
-	}
-	return nil
+	return err
 }
 
 // QueryReply is a node's GET /query reply:
@@ -285,8 +237,6 @@ type QueryReply struct {
 	// Err is the bound, +Inf when absent or null.
 	Err      float64
 	Rigorous bool
-
-	sc scanner
 }
 
 // Decode replaces r with the reply in data, with the semantics of
@@ -294,558 +244,226 @@ type QueryReply struct {
 // *float64).
 func (r *QueryReply) Decode(data []byte) error {
 	path, src := r.Path, r.Source
-	*r = QueryReply{Err: math.Inf(1), sc: r.sc}
-	s := &r.sc
-	s.reset(data)
-	return s.topObject(func(key []byte) error {
-		switch {
-		case keyIs(key, "value"):
-			if s.null() {
-				return nil
-			}
-			return s.floatField(&r.Value)
-		case keyIs(key, "version"):
-			return s.intField64(&r.Version)
-		case keyIs(key, "path"):
-			return s.stringField(&r.Path, path)
-		case keyIs(key, "source"):
-			return s.stringField(&r.Source, src)
-		case keyIs(key, "err"):
-			if s.null() {
-				r.Err = math.Inf(1)
-				return nil
-			}
-			return s.floatField(&r.Err)
-		case keyIs(key, "rigorous"):
-			return s.boolField(&r.Rigorous)
+	*r = QueryReply{Err: math.Inf(1)}
+	s := canon{data: data}
+	s.expect('{')
+	for i := 0; s.more('}', i == 0); i++ {
+		switch s.key("value", "version", "path", "source", "err", "rigorous") {
+		case "value":
+			r.Value = s.float()
+		case "version":
+			r.Version = s.int(64)
+		case "path":
+			r.Path = s.string(path)
+		case "source":
+			r.Source = s.string(src)
+		case "err":
+			r.Err = s.float()
+		case "rigorous":
+			r.Rigorous = s.bool()
 		}
-		return s.skip(1)
-	})
+	}
+	if s.end() {
+		return nil
+	}
+	var v struct {
+		Value    float64  `json:"value"`
+		Version  int64    `json:"version"`
+		Path     string   `json:"path"`
+		Source   string   `json:"source"`
+		Err      *float64 `json:"err"`
+		Rigorous bool     `json:"rigorous"`
+	}
+	err := json.NewDecoder(bytes.NewReader(data)).Decode(&v)
+	*r = QueryReply{Value: v.Value, Version: v.Version, Path: v.Path, Source: v.Source, Err: math.Inf(1), Rigorous: v.Rigorous}
+	if v.Err != nil {
+		r.Err = *v.Err
+	}
+	return err
 }
 
-// growElem makes s[i] addressable for an array decode that reached
-// element i, the way encoding/json grows a slice: an element past the
-// current length keeps what the backing array holds from earlier in
-// this decode (hw marks how far that goes) and is zero beyond it. The
-// backing array is carried over whole when it grows.
-func growElem[T any](s []T, i, hw int, zero T) ([]T, int) {
-	if i < len(s) {
-		return s, hw
-	}
-	if i < cap(s) {
-		s = s[:i+1]
-	} else {
-		s = append(s[:cap(s)], zero)[:i+1]
-	}
-	if i >= hw {
-		s[i] = zero
-		hw = i + 1
-	}
-	return s, hw
-}
-
-// scanner is a strict JSON reader over one in-memory document.
-type scanner struct {
+// canon reads the canonical form of the wire shapes: each known key
+// once and exactly as spelled, strings of printable ASCII without `"`
+// or `\`, numbers by the JSON grammar that strconv parses (an integer
+// field takes no fraction or exponent), true and false, null only as an
+// errs entry, and nothing but whitespace after the closing brace. At
+// the first byte outside that form it sets bad, after which every
+// method is a no-op returning a zero value, so a decoder is
+// straight-line code that asks end once and otherwise leaves the body
+// to encoding/json.
+type canon struct {
 	data []byte
 	pos  int
-	// str is the unescape scratch; a string value read through it stays
-	// valid until the next string is read.
-	str []byte
+	bad  bool
+	seen uint8 // keys of the object already read, by index
 }
 
-func (s *scanner) reset(data []byte) {
-	s.data, s.pos = data, 0
-}
-
-func (s *scanner) ws() {
+// peek returns the next byte after whitespace, 0 at the end of the data
+// or once bad.
+func (s *canon) peek() byte {
 	for s.pos < len(s.data) {
-		switch s.data[s.pos] {
+		switch c := s.data[s.pos]; c {
 		case ' ', '\t', '\n', '\r':
 			s.pos++
 		default:
-			return
+			if s.bad {
+				return 0
+			}
+			return c
 		}
 	}
+	return 0
 }
 
-func (s *scanner) errorf(context string) error {
-	if s.pos >= len(s.data) {
-		return io.ErrUnexpectedEOF
-	}
-	return fmt.Errorf("invalid character %q %s (offset %d)", s.data[s.pos], context, s.pos)
-}
-
-// typeError reports a well-formed value of the wrong JSON type for its
-// field.
-func (s *scanner) typeError(want string) error {
-	return fmt.Errorf("cannot decode JSON value at offset %d into %s", s.pos, want)
-}
-
-// topObject decodes the document's first value: null leaves the target
-// zero; an object is walked with field. Anything after the value is
-// ignored.
-func (s *scanner) topObject(field func(key []byte) error) error {
-	s.ws()
-	if s.pos >= len(s.data) {
-		return io.EOF
-	}
-	switch s.data[s.pos] {
-	case 'n':
-		return s.literal("null")
-	case '{':
-		return s.object(1, field)
-	}
-	return s.typeError("an object")
-}
-
-// object consumes the object at the scanner, at nesting depth, calling
-// field with each (unquoted) key and the scanner at its value, which
-// field must consume.
-func (s *scanner) object(depth int, field func(key []byte) error) error {
-	if depth > maxNestingDepth {
-		return errors.New("exceeded max depth")
+func (s *canon) expect(c byte) {
+	if s.peek() != c {
+		s.bad = true
+		return
 	}
 	s.pos++
-	s.ws()
-	if s.pos < len(s.data) && s.data[s.pos] == '}' {
-		s.pos++
-		return nil
-	}
-	for {
-		if s.pos >= len(s.data) || s.data[s.pos] != '"' {
-			return s.errorf("looking for beginning of object key string")
-		}
-		key, err := s.stringValue()
-		if err != nil {
-			return err
-		}
-		s.ws()
-		if s.pos >= len(s.data) || s.data[s.pos] != ':' {
-			return s.errorf("after object key")
-		}
-		s.pos++
-		s.ws()
-		if err := field(key); err != nil {
-			return err
-		}
-		if done, err := s.next('}', "after object key:value pair"); done || err != nil {
-			return err
-		}
-	}
 }
 
-// array consumes an array at nesting depth, calling elem with the
-// scanner at each element, which elem must consume.
-func (s *scanner) array(depth int, elem func() error) error {
-	if s.pos >= len(s.data) || s.data[s.pos] != '[' {
-		return s.typeError("an array")
-	}
-	if depth > maxNestingDepth {
-		return errors.New("exceeded max depth")
-	}
-	s.pos++
-	s.ws()
-	if s.pos < len(s.data) && s.data[s.pos] == ']' {
+// more reports whether another member follows in the container closed
+// by end, consuming the closing byte or the comma before the member;
+// first is true before the container's first member.
+func (s *canon) more(end byte, first bool) bool {
+	switch c := s.peek(); {
+	case c == end:
 		s.pos++
-		return nil
-	}
-	for {
-		if err := elem(); err != nil {
-			return err
-		}
-		if done, err := s.next(']', "after array element"); done || err != nil {
-			return err
-		}
-	}
-}
-
-// next consumes the separator after a container member: done is true at
-// the closing byte; after a comma the scanner is at the next member.
-func (s *scanner) next(closing byte, context string) (done bool, err error) {
-	s.ws()
-	if s.pos >= len(s.data) {
-		return false, io.ErrUnexpectedEOF
-	}
-	switch s.data[s.pos] {
-	case closing:
+		return false
+	case first:
+		return !s.bad
+	case c == ',':
 		s.pos++
-		return true, nil
-	case ',':
-		s.pos++
-		s.ws()
-		return false, nil
-	}
-	return false, s.errorf(context)
-}
-
-// skip consumes any value; depth is its container's nesting depth.
-func (s *scanner) skip(depth int) error {
-	if s.pos >= len(s.data) {
-		return io.ErrUnexpectedEOF
-	}
-	switch c := s.data[s.pos]; {
-	case c == '{':
-		return s.object(depth+1, func([]byte) error { return s.skip(depth + 1) })
-	case c == '[':
-		return s.array(depth+1, func() error { return s.skip(depth + 1) })
-	case c == '"':
-		_, _, err := s.stringToken()
-		return err
-	case c == 't':
-		return s.literal("true")
-	case c == 'f':
-		return s.literal("false")
-	case c == 'n':
-		return s.literal("null")
-	case c == '-' || '0' <= c && c <= '9':
-		_, err := s.number()
-		return err
-	}
-	return s.errorf("looking for beginning of value")
-}
-
-func (s *scanner) literal(word string) error {
-	for i := 0; i < len(word); i++ {
-		if s.pos >= len(s.data) {
-			return io.ErrUnexpectedEOF
-		}
-		if s.data[s.pos] != word[i] {
-			return s.errorf("in literal " + word)
-		}
-		s.pos++
-	}
-	return nil
-}
-
-// null consumes a null literal if one is next.
-func (s *scanner) null() bool {
-	if bytes.HasPrefix(s.data[s.pos:], []byte("null")) {
-		s.pos += 4
 		return true
 	}
+	s.bad = true
 	return false
 }
 
-// number consumes a JSON number and returns its literal.
-func (s *scanner) number() ([]byte, error) {
+// key reads an object key and its colon and returns the name in names
+// it spells; any other key, or one read before, is outside the form.
+func (s *canon) key(names ...string) string {
+	k := s.str()
+	s.expect(':')
+	for i, name := range names {
+		if string(k) == name && s.seen&(1<<i) == 0 && !s.bad {
+			s.seen |= 1 << i
+			return name
+		}
+	}
+	s.bad = true
+	return ""
+}
+
+// str reads a string and returns its bytes between the quotes.
+func (s *canon) str() []byte {
+	s.expect('"')
 	start := s.pos
-	if s.pos < len(s.data) && s.data[s.pos] == '-' {
+	for ; s.pos < len(s.data) && !s.bad; s.pos++ {
+		switch c := s.data[s.pos]; {
+		case c == '"':
+			s.pos++
+			return s.data[start : s.pos-1]
+		case c < 0x20 || c > 0x7e || c == '\\':
+			s.bad = true
+		}
+	}
+	s.bad = true
+	return nil
+}
+
+// string reads a string value, returning prev (the value a reused
+// struct held) rather than allocating when the bytes match.
+func (s *canon) string(prev string) string {
+	b := s.str()
+	if string(b) == prev {
+		return prev
+	}
+	return string(b)
+}
+
+// number reads a number literal; integer is false when it has a
+// fraction or an exponent.
+func (s *canon) number() (lit []byte, integer bool) {
+	c := s.peek()
+	start := s.pos
+	if c == '-' {
 		s.pos++
 	}
-	switch {
-	case s.pos >= len(s.data):
-		return nil, io.ErrUnexpectedEOF
-	case s.data[s.pos] == '0':
+	if s.pos < len(s.data) && s.data[s.pos] == '0' {
 		s.pos++
-	case '1' <= s.data[s.pos] && s.data[s.pos] <= '9':
-		s.digits()
-	default:
-		return nil, s.errorf("in numeric literal")
+	} else if s.digits() == 0 {
+		s.bad = true
 	}
+	integer = true
 	if s.pos < len(s.data) && s.data[s.pos] == '.' {
 		s.pos++
-		if err := s.someDigits(); err != nil {
-			return nil, err
-		}
+		s.bad = s.bad || s.digits() == 0
+		integer = false
 	}
 	if s.pos < len(s.data) && (s.data[s.pos] == 'e' || s.data[s.pos] == 'E') {
 		s.pos++
 		if s.pos < len(s.data) && (s.data[s.pos] == '+' || s.data[s.pos] == '-') {
 			s.pos++
 		}
-		if err := s.someDigits(); err != nil {
-			return nil, err
-		}
+		s.bad = s.bad || s.digits() == 0
+		integer = false
 	}
-	return s.data[start:s.pos], nil
+	return s.data[start:s.pos], integer
 }
 
-func (s *scanner) digits() {
+func (s *canon) digits() int {
+	start := s.pos
 	for s.pos < len(s.data) && '0' <= s.data[s.pos] && s.data[s.pos] <= '9' {
 		s.pos++
 	}
+	return s.pos - start
 }
 
-func (s *scanner) someDigits() error {
-	start := s.pos
-	s.digits()
-	if s.pos == start {
-		return s.errorf("in numeric literal")
-	}
-	return nil
-}
-
-// stringToken consumes a string and returns its contents between the
-// quotes; plain is true when they need no unquoting (no escapes, valid
-// UTF-8).
-func (s *scanner) stringToken() (raw []byte, plain bool, err error) {
-	s.pos++ // opening quote
-	start, plain := s.pos, true
-	for s.pos < len(s.data) {
-		c := s.data[s.pos]
-		switch {
-		case c == '"':
-			raw = s.data[start:s.pos]
-			s.pos++
-			return raw, plain && utf8.Valid(raw), nil
-		case c == '\\':
-			plain = false
-			s.pos++
-			if s.pos >= len(s.data) {
-				return nil, false, io.ErrUnexpectedEOF
-			}
-			switch s.data[s.pos] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				s.pos++
-			case 'u':
-				s.pos++
-				for k := 0; k < 4; k++ {
-					if s.pos >= len(s.data) {
-						return nil, false, io.ErrUnexpectedEOF
-					}
-					if !isHex(s.data[s.pos]) {
-						return nil, false, s.errorf("in \\u hexadecimal character escape")
-					}
-					s.pos++
-				}
-			default:
-				return nil, false, s.errorf("in string escape code")
-			}
-		case c < 0x20:
-			return nil, false, s.errorf("in string literal")
-		default:
-			s.pos++
-		}
-	}
-	return nil, false, io.ErrUnexpectedEOF
-}
-
-// stringValue consumes a string and returns it unquoted (aliasing the
-// input or the scratch buffer).
-func (s *scanner) stringValue() ([]byte, error) {
-	raw, plain, err := s.stringToken()
-	if err != nil || plain {
-		return raw, err
-	}
-	s.str = unquote(s.str[:0], raw)
-	return s.str, nil
-}
-
-func isHex(c byte) bool {
-	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
-}
-
-// unquote appends the unescaped form of a scanned string's contents, as
-// encoding/json's unquoteBytes does: invalid UTF-8 and unpaired
-// surrogates become U+FFFD.
-func unquote(dst, raw []byte) []byte {
-	for r := 0; r < len(raw); {
-		c := raw[r]
-		switch {
-		case c == '\\':
-			r++
-			switch e := raw[r]; e {
-			case 'b':
-				dst = append(dst, '\b')
-			case 'f':
-				dst = append(dst, '\f')
-			case 'n':
-				dst = append(dst, '\n')
-			case 'r':
-				dst = append(dst, '\r')
-			case 't':
-				dst = append(dst, '\t')
-			case 'u':
-				rr := hex4(raw[r+1:])
-				r += 5
-				if utf16.IsSurrogate(rr) {
-					if r+1 < len(raw) && raw[r] == '\\' && raw[r+1] == 'u' {
-						if dec := utf16.DecodeRune(rr, hex4(raw[r+2:])); dec != unicode.ReplacementChar {
-							dst = utf8.AppendRune(dst, dec)
-							r += 6
-							continue
-						}
-					}
-					rr = unicode.ReplacementChar
-				}
-				dst = utf8.AppendRune(dst, rr)
-				continue
-			default: // '"', '\\', '/'
-				dst = append(dst, e)
-			}
-			r++
-		case c < utf8.RuneSelf:
-			dst = append(dst, c)
-			r++
-		default:
-			rr, size := utf8.DecodeRune(raw[r:])
-			dst = utf8.AppendRune(dst, rr)
-			r += size
-		}
-	}
-	return dst
-}
-
-// hex4 decodes four hex digits the scanner has validated.
-func hex4(b []byte) rune {
-	var r rune
-	for _, c := range b[:4] {
-		switch {
-		case c <= '9':
-			c -= '0'
-		case c <= 'F':
-			c -= 'A' - 10
-		default:
-			c -= 'a' - 10
-		}
-		r = r<<4 | rune(c)
-	}
-	return r
-}
-
-// keyIs reports whether an object key selects the field named name (a
-// lowercase ASCII name) the way encoding/json matches keys: exactly,
-// else after case folding, which maps every rune to the smallest rune
-// of its unicode.SimpleFold orbit (so "ſ" matches 's', "K" matches 'k').
-func keyIs(key []byte, name string) bool {
-	if string(key) == name {
-		return true
-	}
-	i := 0
-	for len(key) > 0 {
-		r, n := rune(key[0]), 1
-		if r >= utf8.RuneSelf {
-			r, n = utf8.DecodeRune(key)
-			r = foldRune(r)
-		} else if 'a' <= r && r <= 'z' {
-			r -= 'a' - 'A'
-		}
-		key = key[n:]
-		if i >= len(name) || r != rune(name[i]-('a'-'A')) {
-			return false
-		}
-		i++
-	}
-	return i == len(name)
-}
-
-// foldRune returns the smallest rune of r's case-folding orbit.
-func foldRune(r rune) rune {
-	for {
-		f := unicode.SimpleFold(r)
-		if f <= r {
-			return f
-		}
-		r = f
-	}
-}
-
-// stringField decodes a string field; null leaves it untouched. prev is
-// the value the reused struct held before, kept instead of allocating
-// when the bytes match.
-func (s *scanner) stringField(dst *string, prev string) error {
-	if s.null() {
-		return nil
-	}
-	if s.pos >= len(s.data) || s.data[s.pos] != '"' {
-		return s.typeError("a string")
-	}
-	b, err := s.stringValue()
-	if err != nil {
-		return err
-	}
-	if string(b) == prev {
-		*dst = prev
-	} else {
-		*dst = string(b)
-	}
-	return nil
-}
-
-// numberLiteral consumes a number where a numeric field expects one.
-func (s *scanner) numberLiteral(want string) ([]byte, error) {
-	if s.pos >= len(s.data) || s.data[s.pos] != '-' && (s.data[s.pos] < '0' || s.data[s.pos] > '9') {
-		return nil, s.typeError(want)
-	}
-	return s.number()
-}
-
-// intField decodes an int field (null leaves it untouched); fractions,
-// exponents and out-of-range values are rejected like encoding/json's
-// strconv.ParseInt.
-func (s *scanner) intField(dst *int) error {
-	var n int64
-	if s.null() {
-		return nil
-	}
-	if err := s.parseInt(&n, strconv.IntSize); err != nil {
-		return err
-	}
-	*dst = int(n)
-	return nil
-}
-
-func (s *scanner) intField64(dst *int64) error {
-	if s.null() {
-		return nil
-	}
-	return s.parseInt(dst, 64)
-}
-
-func (s *scanner) parseInt(dst *int64, bits int) error {
-	lit, err := s.numberLiteral("an integer")
-	if err != nil {
-		return err
+// int reads an integer that fits in bits.
+func (s *canon) int(bits int) int64 {
+	lit, integer := s.number()
+	if s.bad || !integer {
+		s.bad = true
+		return 0
 	}
 	n, err := strconv.ParseInt(string(lit), 10, bits)
-	if err != nil {
-		return fmt.Errorf("cannot decode number %s into an integer", lit)
-	}
-	*dst = n
-	return nil
+	s.bad = err != nil
+	return n
 }
 
-// floatField decodes a number into a float64 (the caller handles null).
-func (s *scanner) floatField(dst *float64) error {
-	lit, err := s.numberLiteral("a number")
-	if err != nil {
-		return err
+func (s *canon) float() float64 {
+	lit, _ := s.number()
+	if s.bad {
+		return 0
 	}
 	f, err := strconv.ParseFloat(string(lit), 64)
-	if err != nil {
-		return fmt.Errorf("cannot decode number %s into a float64", lit)
-	}
-	*dst = f
-	return nil
+	s.bad = err != nil
+	return f
 }
 
-// floatPtrField decodes a *float64 field backed by store: null sets it
-// nil.
-func (s *scanner) floatPtrField(dst **float64, store *float64) error {
-	if s.null() {
-		*dst = nil
-		return nil
+func (s *canon) bool() bool {
+	if s.literal("true") {
+		return true
 	}
-	if err := s.floatField(store); err != nil {
-		return err
-	}
-	*dst = store
-	return nil
+	s.bad = s.bad || !s.literal("false")
+	return false
 }
 
-func (s *scanner) boolField(dst *bool) error {
-	switch {
-	case s.null():
-	case bytes.HasPrefix(s.data[s.pos:], []byte("true")):
-		s.pos += 4
-		*dst = true
-	case bytes.HasPrefix(s.data[s.pos:], []byte("false")):
-		s.pos += 5
-		*dst = false
-	default:
-		return s.typeError("a bool")
+// literal consumes word if it comes next.
+func (s *canon) literal(word string) bool {
+	if s.peek() != word[0] || len(s.data)-s.pos < len(word) || string(s.data[s.pos:s.pos+len(word)]) != word {
+		return false
 	}
-	return nil
+	s.pos += len(word)
+	return true
+}
+
+// end reports whether the whole of data was in the canonical form.
+func (s *canon) end() bool {
+	s.peek()
+	return !s.bad && s.pos == len(s.data)
 }
 
 // Encoder appends JSON exactly as encoding/json's Encoder writes it. A

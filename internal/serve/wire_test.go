@@ -250,6 +250,26 @@ func FuzzQueryWire(f *testing.F) {
 		1e21, 1e20, 123456789012345680000, math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		f.Add([]byte(`{}`), v, v, "<a&b>\u2028\u2029\x00\x1f\"\\é\xff", int64(-1))
 	}
+	// What real traffic carries: each encoder's own output and a
+	// perfbench-shaped request (strconv 'g' budgets, an empty synopsis).
+	var e Encoder
+	appendBatchResponse(&e, []Result{{Value: 12.5, Bound: 0.25}, {Value: -3, Bound: math.Inf(1)}, {Value: 1e21, Bound: 0}}, 7)
+	appendQueryResponse(&e, Result{Value: 4.5, Bound: 1e-7, Rigorous: true, Path: plan.PathEscalate, Source: "fine"}, 8)
+	appendQueryResponse(&e, Result{Value: 0, Bound: math.Inf(1), Path: plan.PathExact}, 9)
+	AppendBatchRequest(&e, "seg", "SUM", [][2]int{{0, 10}, {5, 63}}, 0.5)
+	AppendBatchRequest(&e, "", "", [][2]int{{1, 2}}, math.NaN())
+	encoded, _ := e.Bytes()
+	for _, seed := range bytes.SplitAfter(encoded, []byte("}")) {
+		if len(seed) > 0 {
+			f.Add(append([]byte(nil), seed...), 1.0, 0.5, "h", int64(1))
+		}
+	}
+	for _, seed := range []string{
+		`{"synopsis":"coarse","maxerr":1e+06,"ranges":[[0,10],[5,63]]}`,
+		`{"synopsis":"","ranges":[[65535,65535]]}`,
+	} {
+		f.Add([]byte(seed), 1.0, 0.5, "h", int64(1))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, value, bound float64, name string, version int64) {
 		checkDecodeDifferential(t, data)
 		checkEncodeDifferential(t, value, bound, name, version)
@@ -274,7 +294,9 @@ func TestQueryWireDepthLimit(t *testing.T) {
 
 // TestQueryWireAllocs keeps reflection (and its allocations) out of the
 // hot path: decoding into a reused request and encoding a 64-range
-// response into a reused encoder allocate nothing.
+// response into a reused encoder allocate nothing, and neither does
+// decoding what the node's encoders write into reused replies — so real
+// traffic never falls back to encoding/json.
 func TestQueryWireAllocs(t *testing.T) {
 	var body bytes.Buffer
 	body.WriteString(`{"synopsis":"seg","metric":"COUNT","maxerr":12.5,"ranges":[`)
@@ -307,6 +329,50 @@ func TestQueryWireAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
 		t.Fatalf("decode + encode of a 64-range batch: %v allocs, want 0", allocs)
+	}
+
+	// The node's batch reply as served (with null bounds and the
+	// trailing newline), into the router's reused BatchReply.
+	enc.Raw("\n")
+	batch, _ := enc.Bytes()
+	var reply BatchReply
+	decodeReply := func() {
+		if err := reply.Decode(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decodeReply()
+	if len(reply.Values) != 64 || len(reply.Errs) != 64 || reply.NoErrs || reply.Version != 42 ||
+		!math.IsInf(reply.Errs[0], 1) || reply.Errs[1] != results[1].Bound || reply.Values[63] != results[63].Value {
+		t.Fatalf("decoded %+v", reply)
+	}
+	if allocs := testing.AllocsPerRun(100, decodeReply); allocs != 0 {
+		t.Fatalf("batch reply decode: %v allocs, want 0", allocs)
+	}
+
+	// The node's single-query reply, bounded and unbounded.
+	for _, res := range []Result{
+		{Value: 1234.5, Bound: 0.125, Rigorous: true, Path: plan.PathEscalate, Source: "fine"},
+		{Value: -7, Bound: math.Inf(1), Path: plan.PathProbe, Source: "coarse"},
+	} {
+		var e Encoder
+		appendQueryResponse(&e, res, 9)
+		e.Raw("\n")
+		one, _ := e.Bytes()
+		var got QueryReply
+		decodeOne := func() {
+			if err := got.Decode(one); err != nil {
+				t.Fatal(err)
+			}
+		}
+		decodeOne()
+		if got.Value != res.Value || got.Err != res.Bound || got.Rigorous != res.Rigorous ||
+			got.Path != res.Path.String() || got.Source != res.Source || got.Version != 9 {
+			t.Fatalf("decoded %+v from %q", got, one)
+		}
+		if allocs := testing.AllocsPerRun(100, decodeOne); allocs != 0 {
+			t.Fatalf("query reply decode of %q: %v allocs, want 0", one, allocs)
+		}
 	}
 }
 

@@ -104,12 +104,16 @@ type Metrics struct {
 // Range is an inclusive query range.
 type Range struct{ A, B int }
 
-// Evaluate computes error metrics over an explicit workload.
+// Evaluate computes error metrics over an explicit workload. An empty
+// range (A > B) counts as a query answered exactly, with error 0.
 func Evaluate(tab *prefix.Table, est Estimator, queries []Range) Metrics {
 	var m Metrics
 	var relSum float64
 	var relCount int
 	for _, q := range queries {
+		if q.A > q.B {
+			continue
+		}
 		truth := tab.SumF(q.A, q.B)
 		d := truth - est.Estimate(q.A, q.B)
 		ad := math.Abs(d)
